@@ -1140,9 +1140,13 @@ impl EngineOp for BcastRecvOp {
                                 now,
                             );
                         }
-                        return Step::Park(merge_hint(fwd_hint, Some(at)));
+                        let upstream = self.parent.unwrap_or(self.root);
+                        let wake = self.inner.park_until_failure(upstream, now, Some(at));
+                        return Step::Park(merge_hint(fwd_hint, wake));
                     } else {
-                        return Step::Park(fwd_hint);
+                        let upstream = self.parent.unwrap_or(self.root);
+                        let wake = self.inner.park_until_failure(upstream, now, None);
+                        return Step::Park(merge_hint(fwd_hint, wake));
                     }
                 }
                 RecvBcastState::Drain => {
@@ -1543,9 +1547,13 @@ impl RingReduceOp {
                         now,
                     );
                 }
-                return SegVerdict::Pending(Some(at));
+                return SegVerdict::Pending(self.inner.park_until_failure(
+                    self.prev(),
+                    now,
+                    Some(at),
+                ));
             }
-            return SegVerdict::Pending(None);
+            return SegVerdict::Pending(self.inner.park_until_failure(self.prev(), now, None));
         }
     }
 
@@ -1830,35 +1838,48 @@ impl EngineOp for RingReduceOp {
                         gs.deadline = chunk_deadline_for(&self.inner, now);
                     } else if let Some(at) = gs.req.known_completion() {
                         return Step::Park(Some(at.max(now + 1)));
-                    } else if let Some(dead) = {
+                    } else {
                         // A contributor whose segment is still incomplete
                         // and whose process is dead can never finish the
                         // gather; nothing is in flight, so fail fast.
                         let n = self.inner.comm.size();
                         let me = self.inner.comm.rank();
                         let segs = seg_bounds(self.count, n);
-                        (0..n).find(|&r| {
-                            r != me
-                                && segs[(r + 1) % n].1 > 0
-                                && gs.per_src.get(&r).copied().unwrap_or(0)
-                                    < segs[(r + 1) % n].1 * 8
-                                && self.inner.peer_failed(r, now)
-                        })
-                    } {
-                        self.abandon_recv();
-                        if let Some(stats) = self.inner.stats.lock().as_ref() {
-                            stats.note_proc_failure();
+                        let missing: Vec<Rank> = (0..n)
+                            .filter(|&r| {
+                                r != me
+                                    && segs[(r + 1) % n].1 > 0
+                                    && gs.per_src.get(&r).copied().unwrap_or(0)
+                                        < segs[(r + 1) % n].1 * 8
+                            })
+                            .collect();
+                        let deadline = gs.deadline;
+                        if let Some(&dead) =
+                            missing.iter().find(|&&r| self.inner.peer_failed(r, now))
+                        {
+                            self.abandon_recv();
+                            if let Some(stats) = self.inner.stats.lock().as_ref() {
+                                stats.note_proc_failure();
+                            }
+                            record_failure(&self.inner, &mut self.ids, dead, now);
+                            return self.settle(
+                                Err(ClError::TransferFailed(format!(
+                                    "reduce gather (tag {}): {}",
+                                    self.wire_tag,
+                                    MpiError::ProcFailed { rank: dead }
+                                ))),
+                                now,
+                            );
                         }
-                        record_failure(&self.inner, &mut self.ids, dead, now);
-                        return self.settle(
-                            Err(ClError::TransferFailed(format!(
-                                "reduce gather (tag {}): {}",
-                                self.wire_tag,
-                                MpiError::ProcFailed { rank: dead }
-                            ))),
-                            now,
-                        );
-                    } else if let Some((at, patience)) = gs.deadline {
+                        // Park until the patience deadline or the first
+                        // scheduled death of a missing contributor.
+                        let wake = missing
+                            .iter()
+                            .filter_map(|&r| self.inner.park_until_failure(r, now, None))
+                            .min();
+                        let Some((at, patience)) = deadline else {
+                            return Step::Park(wake);
+                        };
                         if now >= at {
                             self.abandon_recv();
                             if let Some(stats) = self.inner.stats.lock().as_ref() {
@@ -1875,9 +1896,7 @@ impl EngineOp for RingReduceOp {
                                 now,
                             );
                         }
-                        return Step::Park(Some(at));
-                    } else {
-                        return Step::Park(None);
+                        return Step::Park(merge_hint(Some(at), wake));
                     }
                 }
                 RingState::Store { end } => {

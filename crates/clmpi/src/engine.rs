@@ -24,8 +24,8 @@
 //!
 //! **The engine never blocks inside a machine.** A machine that needs a
 //! future instant *parks* with a wake hint; a machine that needs another
-//! actor's progress parks without one and relies on the clock's notify
-//! protocol. This is what the repo's CI lint enforces: this file must
+//! actor's progress parks without one and relies on the keyed notify of
+//! the monitors it read (event statuses, request slots, rank state). This is what the repo's CI lint enforces: this file must
 //! contain no blocking wait, no blocking receive, and no virtual-time
 //! sleep — the only places the data plane may touch virtual time are
 //! reservation timelines and alarms.
@@ -33,9 +33,9 @@
 //! ### Determinism
 //!
 //! Submissions are handled at the submitting actor's *current* virtual
-//! instant: `submit` notifies the clock, and the clock cannot advance
-//! until every blocked actor — the engine included — has re-evaluated its
-//! predicate. Within one engine, machines step in FIFO submission order,
+//! instant: `submit` notifies the engine's own monitor, and the clock
+//! cannot advance until every woken actor — the engine included — has
+//! re-evaluated its predicate. Within one engine, machines step in FIFO submission order,
 //! which makes same-instant resource reservations deterministic per rank
 //! (the previous one-thread-per-command design raced them).
 
@@ -492,12 +492,12 @@ impl ReliableChunkSend {
         actor: &Actor,
     ) -> ChunkStep {
         if let ChunkState::Injecting { ref req, earliest } = self.state {
-            // `known_completion` pumps the arbiter; `None` means the
-            // grant instant has not passed yet. The arbiter clamps a
-            // stale `earliest` up to the posting instant, so the park
-            // hint must be strictly future relative to `now` — one tick
-            // later the pump's strict `earliest < now` test admits the
-            // grant.
+            // `None` means the clock has not granted the injection yet.
+            // The arbiter clamps a stale `earliest` up to the posting
+            // instant and grants one tick later (its strict
+            // `earliest < now` test), so the park hint is that strictly
+            // future instant; the send's outcome monitor wakes this
+            // machine there too.
             let Some(done) = req.known_completion() else {
                 return ChunkStep::Park(now.max(earliest) + 1);
             };
@@ -1528,9 +1528,9 @@ impl EngineOp for RecvOp {
                                 now,
                             );
                         }
-                        return Step::Park(Some(at));
+                        return Step::Park(self.inner.park_until_failure(self.src, now, Some(at)));
                     } else {
-                        return Step::Park(None);
+                        return Step::Park(self.inner.park_until_failure(self.src, now, None));
                     }
                 }
                 RecvState::Stage { end, .. } => {
@@ -1953,9 +1953,9 @@ impl EngineOp for IrecvClOp {
                             }
                             return self.fail(now, false);
                         }
-                        return Step::Park(Some(at));
+                        return Step::Park(self.inner.park_until_failure(self.src, now, Some(at)));
                     } else {
-                        return Step::Park(None);
+                        return Step::Park(self.inner.park_until_failure(self.src, now, None));
                     }
                 }
                 IrecvState::Done => return Step::Done,
@@ -2041,14 +2041,12 @@ impl EngineOp for EventFromRequestOp {
 // ----------------------------------------------------------------------
 //
 // These machines drive `minimpi`'s non-blocking RMA handles from the
-// engine. Liveness note: a handle's grant only lands when *someone*
-// pumps the fabric arbiter past the reservation's earliest instant, and
-// for one-sided traffic the issuing machine is usually the only pumper
-// — so a machine with a pending flight always parks with an explicit
-// time hint. Before the first grant the wire-claim earliest is known
-// exactly; after a retransmit has been re-posted, the claim instant is
-// arbiter-internal, so the machine falls back to a fixed virtual
-// polling quantum.
+// engine. A handle's grant lands when the clock passes the reservation's
+// earliest instant, and its slot monitor wakes the machine. A machine
+// with a pending flight also parks with an explicit time hint: before
+// the first grant the wire-claim earliest is known exactly; after a
+// retransmit has been re-posted, the claim instant is arbiter-internal,
+// so the machine falls back to a fixed virtual polling quantum.
 
 /// Virtual polling cadence for an RMA flight whose next wake instant is
 /// unknowable from outside the arbiter (post-retransmit).
@@ -2059,7 +2057,7 @@ const RMA_POLL_QUANTUM_NS: SimNs = 100_000;
 struct RmaFlight {
     handle: RmaHandle,
     /// Wire-claim earliest of the initial post: the park target before
-    /// the first grant (one tick later the pump's strict `earliest <
+    /// the first grant (one tick later the arbiter's strict `earliest <
     /// now` test admits it).
     earliest: SimNs,
     /// Attempts already converted into drop/retry child spans.
@@ -2143,7 +2141,7 @@ fn poll_flights(
             done_at = done_at.max(at);
             continue;
         }
-        let verdict = f.handle.poll(now);
+        let verdict = f.handle.poll();
         f.note_attempts(inner, ids, now);
         match verdict {
             RmaPoll::Done { at } => {
@@ -2976,7 +2974,7 @@ impl EngineOp for WinFenceOp {
                     WaitListStatus::Ready => self.state = FenceState::Drain,
                 },
                 FenceState::Drain => {
-                    if !self.win.poll_pending(now) {
+                    if !self.win.poll_pending() {
                         return Step::Park(Some(now + RMA_POLL_QUANTUM_NS));
                     }
                     let op_err = self.win.take_epoch_err();

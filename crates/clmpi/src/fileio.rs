@@ -14,7 +14,7 @@ use std::sync::Arc;
 use minicl::{Buffer, ClResult, CommandQueue, Device, Event, UserEvent, CL_MPI_TRANSFER_ERROR};
 use simnet::{Link, LinkSpec};
 use simtime::plock::Mutex;
-use simtime::{Actor, SimClock, SimNs};
+use simtime::{Actor, Arbiter, Monitor, SimClock, SimNs};
 
 use crate::engine::{deps_settled, record_envelope, EngineOp, Step};
 use crate::obs::ChildIds;
@@ -26,9 +26,15 @@ use crate::runtime::Inner;
 #[derive(Clone)]
 pub struct SimStorage {
     files: Arc<Mutex<BTreeMap<String, Vec<u8>>>>,
-    link: Arc<Link>,
     clock: SimClock,
-    defer: Arc<Mutex<StorageDefer>>,
+    /// The timeline and its deferred arbiter, shared with the clock,
+    /// which runs due grants.
+    core: Arc<StorageCore>,
+}
+
+struct StorageCore {
+    link: Link,
+    defer: Mutex<StorageDefer>,
 }
 
 /// A deferred storage reservation, granted later in canonical order.
@@ -44,7 +50,7 @@ struct StorageJob {
     earliest: SimNs,
     seq: u64,
     /// Filled with the reservation's arrival instant at grant time.
-    cell: Arc<Mutex<Option<SimNs>>>,
+    cell: GrantCell,
 }
 
 #[derive(Default)]
@@ -71,9 +77,11 @@ impl SimStorage {
     pub fn with_spec(clock: SimClock, spec: LinkSpec) -> Self {
         SimStorage {
             files: Arc::new(Mutex::new(BTreeMap::new())),
-            link: Arc::new(Link::new(clock.clone(), spec)),
+            core: Arc::new(StorageCore {
+                link: Link::new(clock.clone(), spec),
+                defer: Mutex::new(StorageDefer::default()),
+            }),
             clock,
-            defer: Arc::new(Mutex::new(StorageDefer::default())),
         }
     }
 
@@ -97,27 +105,22 @@ impl SimStorage {
     /// through [`SimStorage::reserve_deferred`] instead.
     #[cfg(test)]
     pub(crate) fn reserve(&self, bytes: usize, earliest: SimNs) -> SimNs {
-        let r = self.link.reserve(bytes, earliest);
+        let r = self.core.link.reserve(bytes, earliest);
         r.arrival
     }
 
     /// Post a reservation to the deferred arbiter. The returned cell is
-    /// filled with the arrival instant once [`SimStorage::pump`] grants
-    /// the job; poll it after pumping. `prio` breaks same-instant ties
-    /// canonically (pass the poster's global rank).
-    pub(crate) fn reserve_deferred(
-        &self,
-        prio: u64,
-        bytes: usize,
-        earliest: SimNs,
-    ) -> Arc<Mutex<Option<SimNs>>> {
-        let mut q = self.defer.lock();
+    /// filled with the arrival instant once the clock grants the job, just
+    /// past `earliest`; its monitor wakes the poster then. `prio` breaks
+    /// same-instant ties canonically (pass the poster's global rank).
+    pub(crate) fn reserve_deferred(&self, prio: u64, bytes: usize, earliest: SimNs) -> GrantCell {
+        let mut q = self.core.defer.lock();
         // Clamp stale instants up to now. Grant batches are frozen: the
         // poster is runnable, so the clock cannot advance while this job
         // is posted — every later post lands at `earliest` ≥ any instant
-        // a pump has already granted through.
+        // a grant has already covered.
         let earliest = earliest.max(self.clock.now_ns());
-        let cell = Arc::new(Mutex::new(None));
+        let cell = Arc::new(Monitor::new(self.clock.clone(), None));
         let seq = q.next_seq;
         q.next_seq += 1;
         q.pending.push(StorageJob {
@@ -127,26 +130,29 @@ impl SimStorage {
             seq,
             cell: cell.clone(),
         });
-        // Drive the clock past the grant threshold even if every actor
-        // is parked waiting on this very reservation.
-        self.clock.schedule_alarm(earliest + 1);
+        drop(q);
+        // The clock grants the job once it has passed `earliest`, even if
+        // every actor is parked waiting on this very reservation.
+        self.clock.schedule_grant(earliest + 1, self.core.clone());
         cell
     }
+}
 
+/// A storage reservation's arrival instant, filled at grant time.
+pub(crate) type GrantCell = Arc<Monitor<Option<SimNs>>>;
+
+impl Arbiter for StorageCore {
     /// Grant every deferred job whose instant has strictly passed, in
     /// canonical `(earliest, prio, seq)` order. Reservations are
     /// backdated to their (clamped) post instants, so the timeline is
     /// identical to the eager first-come order — minus the race.
-    pub(crate) fn pump(&self, now: SimNs) {
+    fn grant(&self, now: SimNs) {
         // checker-allow(lock-lifetime): defer is the serialization point
         // for the canonical (earliest, prio, seq) grant order — releasing
-        // it mid-grant would let a racing pump interleave reservations.
-        // The nested `cell` lock is a per-job leaf that is never held
+        // it mid-grant would let a racing grant interleave reservations.
+        // The nested `cell` monitor is a per-job leaf that is never held
         // across any other acquisition.
         let mut q = self.defer.lock();
-        if !q.pending.iter().any(|j| j.earliest < now) {
-            return;
-        }
         let mut due = Vec::new();
         let mut i = 0;
         while i < q.pending.len() {
@@ -159,7 +165,7 @@ impl SimStorage {
         due.sort_by_key(|j| (j.earliest, j.prio, j.seq));
         for j in due {
             let r = self.link.reserve(j.bytes, j.earliest);
-            *j.cell.lock() = Some(r.arrival);
+            j.cell.with(|c| *c = Some(r.arrival));
         }
     }
 }
@@ -384,14 +390,13 @@ impl crate::runtime::ClMpi {
 }
 
 /// Shared shape of both file machines: wait for the dependency list,
-/// post the storage reservation to the arbiter, poll for the grant,
+/// post the storage reservation to the arbiter, wait for its grant,
 /// then park until the terminal instant and publish the payload.
 enum FileState {
     WaitDeps,
-    /// Storage reservation posted; polling the arbiter for the grant.
+    /// Storage reservation posted; the clock's grant fills the cell.
     WaitDisk {
-        cell: Arc<Mutex<Option<SimNs>>>,
-        earliest: SimNs,
+        cell: GrantCell,
         payload: Vec<u8>,
     },
     Finish {
@@ -425,14 +430,9 @@ impl EngineOp for FileWriteOp {
 
     fn step(&mut self, now: SimNs, _actor: &Actor) -> Step {
         loop {
-            if let FileState::WaitDisk {
-                ref cell, earliest, ..
-            } = self.state
-            {
-                self.storage.pump(now);
-                let granted: Option<SimNs> = *cell.lock();
-                let Some(durable_at) = granted else {
-                    return Step::Park(Some(now.max(earliest) + 1));
+            if let FileState::WaitDisk { ref cell, .. } = self.state {
+                let Some(durable_at) = cell.peek(|c| *c) else {
+                    return Step::Park(None);
                 };
                 let state = std::mem::replace(&mut self.state, FileState::Done);
                 let FileState::WaitDisk { payload, .. } = state else {
@@ -466,7 +466,6 @@ impl EngineOp for FileWriteOp {
                         .reserve_deferred(self.prio, self.size, staged.end);
                     self.state = FileState::WaitDisk {
                         cell,
-                        earliest: staged.end,
                         payload: bytes,
                     };
                 }
@@ -514,14 +513,9 @@ impl EngineOp for FileReadOp {
 
     fn step(&mut self, now: SimNs, _actor: &Actor) -> Step {
         loop {
-            if let FileState::WaitDisk {
-                ref cell, earliest, ..
-            } = self.state
-            {
-                self.storage.pump(now);
-                let granted: Option<SimNs> = *cell.lock();
-                let Some(read_done) = granted else {
-                    return Step::Park(Some(now.max(earliest) + 1));
+            if let FileState::WaitDisk { ref cell, .. } = self.state {
+                let Some(read_done) = cell.peek(|c| *c) else {
+                    return Step::Park(None);
                 };
                 let state = std::mem::replace(&mut self.state, FileState::Done);
                 let FileState::WaitDisk { payload, .. } = state else {
@@ -560,7 +554,6 @@ impl EngineOp for FileReadOp {
                     let cell = self.storage.reserve_deferred(self.prio, self.size, now);
                     self.state = FileState::WaitDisk {
                         cell,
-                        earliest: now,
                         payload: data,
                     };
                 }
@@ -587,10 +580,10 @@ impl EngineOp for FileReadOp {
 
 enum CkptState {
     WaitDeps,
-    /// Storage reservation posted (torn file already on disk); polling
-    /// the arbiter for the durable instant.
+    /// Storage reservation posted (torn file already on disk); the
+    /// clock's grant fills the cell with the durable instant.
     WaitDisk {
-        cell: Arc<Mutex<Option<SimNs>>>,
+        cell: GrantCell,
         write_start: SimNs,
         full: Vec<u8>,
     },
@@ -637,10 +630,8 @@ impl EngineOp for CheckpointWriteOp {
                 ..
             } = self.state
             {
-                self.storage.pump(now);
-                let granted: Option<SimNs> = *cell.lock();
-                let Some(durable_at) = granted else {
-                    return Step::Park(Some(now.max(write_start) + 1));
+                let Some(durable_at) = cell.peek(|c| *c) else {
+                    return Step::Park(None);
                 };
                 let state = std::mem::replace(&mut self.state, CkptState::Done);
                 let CkptState::WaitDisk { full, .. } = state else {
@@ -743,10 +734,9 @@ impl EngineOp for CheckpointWriteOp {
 enum RestoreState {
     WaitDeps,
     /// Storage read (or missing-file probe, `data == None`) posted to
-    /// the arbiter; polling for the grant.
+    /// the arbiter; the clock's grant fills the cell.
     WaitDisk {
-        cell: Arc<Mutex<Option<SimNs>>>,
-        earliest: SimNs,
+        cell: GrantCell,
         data: Option<Vec<u8>>,
     },
     /// Validated: the payload lands in device memory at `at`.
@@ -817,14 +807,9 @@ impl EngineOp for RestoreOp {
 
     fn step(&mut self, now: SimNs, _actor: &Actor) -> Step {
         loop {
-            if let RestoreState::WaitDisk {
-                ref cell, earliest, ..
-            } = self.state
-            {
-                self.storage.pump(now);
-                let granted: Option<SimNs> = *cell.lock();
-                let Some(read_done) = granted else {
-                    return Step::Park(Some(now.max(earliest) + 1));
+            if let RestoreState::WaitDisk { ref cell, .. } = self.state {
+                let Some(read_done) = cell.peek(|c| *c) else {
+                    return Step::Park(None);
                 };
                 let state = std::mem::replace(&mut self.state, RestoreState::Done);
                 let RestoreState::WaitDisk { data, .. } = state else {
@@ -875,11 +860,7 @@ impl EngineOp for RestoreOp {
                     let bytes = data.as_ref().map_or(0, Vec::len);
                     let prio = self.inner.comm.global_rank(self.inner.comm.rank()) as u64;
                     let cell = self.storage.reserve_deferred(prio, bytes, now);
-                    self.state = RestoreState::WaitDisk {
-                        cell,
-                        earliest: now,
-                        data,
-                    };
+                    self.state = RestoreState::WaitDisk { cell, data };
                 }
                 RestoreState::WaitDisk { .. } => unreachable!("handled above"),
                 RestoreState::Land { at, .. } => {

@@ -76,7 +76,7 @@ pub(crate) struct Inner {
     /// Communicator-local ranks explicitly reported failed
     /// ([`ClMpi::notify_proc_failure`]); machines consult this set in
     /// addition to the fault plan's schedule.
-    pub(crate) failed: Mutex<std::collections::BTreeSet<Rank>>,
+    pub(crate) failed: Monitor<std::collections::BTreeSet<Rank>>,
 }
 
 impl Inner {
@@ -120,10 +120,26 @@ impl Inner {
     /// dead per the fabric's fault-plan schedule (the deterministic
     /// ground truth the ULFM-style layer classifies against).
     pub(crate) fn peer_failed(&self, local: Rank, t: SimNs) -> bool {
-        if self.failed.lock().contains(&local) {
+        if self.failed.peek(|f| f.contains(&local)) {
             return true;
         }
         self.comm.is_proc_failed(local, t)
+    }
+
+    /// The wake hint of a waiter that checked [`Inner::peer_failed`] at
+    /// `now` and found the peer alive: the earlier of its own `deadline`
+    /// and the peer's next scheduled death. A kill is then noticed at the
+    /// instant it happens, not at whatever wake-up comes next.
+    pub(crate) fn park_until_failure(
+        &self,
+        local: Rank,
+        now: SimNs,
+        deadline: Option<SimNs>,
+    ) -> Option<SimNs> {
+        deadline
+            .into_iter()
+            .chain(self.comm.next_proc_failure(local, now))
+            .min()
     }
 }
 
@@ -158,6 +174,7 @@ impl ClMpi {
             format!("clmpi-engine-r{}", comm.rank()),
             comm.rank() as u64,
         );
+        let failed = Monitor::new(clock.clone(), Default::default());
         ClMpi {
             inner: Arc::new(Inner {
                 comm,
@@ -177,7 +194,7 @@ impl ClMpi {
                 fault_state: Mutex::new(FaultState::default()),
                 op_seq: Mutex::new(0),
                 obs: Mutex::new(ObsCounters::default()),
-                failed: Mutex::new(std::collections::BTreeSet::new()),
+                failed,
             }),
         }
     }
@@ -351,7 +368,7 @@ impl ClMpi {
     /// future machines touching it abort-and-poison instead of waiting
     /// out their patience; recorded as an `op.failure` span. Idempotent.
     pub fn notify_proc_failure(&self, rank: Rank) {
-        if !self.inner.failed.lock().insert(rank) {
+        if !self.inner.failed.with(|f| f.insert(rank)) {
             return;
         }
         let now = self.inner.clock.now_ns();
@@ -374,7 +391,7 @@ impl ClMpi {
     /// notifications plus the fault plan's node-kill schedule.
     pub fn failed_ranks(&self, t: SimNs) -> Vec<Rank> {
         let mut out: std::collections::BTreeSet<Rank> =
-            self.inner.failed.lock().iter().copied().collect();
+            self.inner.failed.peek(|f| f.iter().copied().collect());
         out.extend(self.inner.comm.failed_ranks(t));
         out.into_iter().collect()
     }

@@ -126,6 +126,12 @@ pub struct HimenoResult {
     /// Scheduler machine transitions over the whole run (simulator
     /// self-throughput numerator; mode-independent).
     pub sched_events: u64,
+    /// Clock wake-ups through wait keys
+    /// ([`minimpi::WorldResult::keyed_wakes`]).
+    pub keyed_wakes: u64,
+    /// Clock wake-ups through the unkeyed fallback
+    /// ([`minimpi::WorldResult::fallback_wakes`]).
+    pub fallback_wakes: u64,
 }
 
 pub(crate) struct Slab {
@@ -327,6 +333,8 @@ pub fn run_himeno_with_faults_mode(
         fault_counts: res.fault_counts,
         transfer_faults,
         sched_events: res.events,
+        keyed_wakes: res.keyed_wakes,
+        fallback_wakes: res.fallback_wakes,
     }
 }
 

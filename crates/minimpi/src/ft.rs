@@ -42,6 +42,14 @@ impl Comm {
         self.world.inner.fabric.node_down_at(g, t)
     }
 
+    /// The first instant strictly after `t` at which `local` rank's node
+    /// is scheduled to die: where a waiter polling
+    /// [`Comm::is_proc_failed`] parks to notice the kill on time.
+    pub fn next_proc_failure(&self, local: Rank, t: SimNs) -> Option<SimNs> {
+        let g = self.global_rank(local);
+        self.world.inner.fabric.next_node_down(g, t)
+    }
+
     /// Communicator-local ranks whose nodes are dead at instant `t`.
     pub fn failed_ranks(&self, t: SimNs) -> Vec<Rank> {
         (0..self.size())

@@ -21,6 +21,12 @@ pub struct WorldResult<R> {
     /// numerator. Deterministic for a fixed scenario and identical in
     /// both executor modes.
     pub events: u64,
+    /// Blocked waiters the clock released through a wait key over the
+    /// run (host-schedule dependent: a diagnostic, never an artifact).
+    pub keyed_wakes: u64,
+    /// Blocked waiters released through the unkeyed wake-everyone
+    /// fallback. Zero when every wait in the run was keyed.
+    pub fallback_wakes: u64,
 }
 
 /// Run `f` on every rank of a world sized to the full cluster preset.
@@ -134,6 +140,8 @@ where
         trace,
         fault_counts: world.fault_counts(),
         events: clock.events(),
+        keyed_wakes: clock.keyed_wakes(),
+        fallback_wakes: clock.fallback_wakes(),
     }
 }
 

@@ -18,7 +18,7 @@ use std::sync::Arc;
 use simnet::{DropReason, FaultOutcome};
 use simtime::{Actor, Monitor, SimNs};
 
-use crate::world::{Comm, World};
+use crate::world::Comm;
 use crate::{Datatype, Rank, Tag};
 
 /// Errors surfaced through the `Result`-returning request/receive APIs
@@ -287,7 +287,6 @@ enum ReqKind {
     /// injection instant — so the outcome cell fills in asynchronously.
     Send {
         outcome: Arc<Monitor<Option<SendOutcome>>>,
-        world: World,
     },
     /// An `irecv`: completes when the matched message has arrived.
     Recv {
@@ -296,7 +295,6 @@ enum ReqKind {
         /// Communicator member table for translating the global source
         /// rank back to a communicator-local one (None = world).
         members: Option<Arc<Vec<Rank>>>,
-        world: World,
     },
 }
 
@@ -311,18 +309,6 @@ fn to_local(members: &Option<Arc<Vec<Rank>>>, global: Rank) -> Rank {
 }
 
 impl Request {
-    /// Drive the fabric's deferred-send arbiter up to the present. Every
-    /// accessor pumps first: a request's state may depend on sends — its
-    /// own, or a peer's feeding its receive — whose grant instant has
-    /// passed but which no blocked thread has granted yet.
-    fn pump(&self) {
-        let world = match &self.kind {
-            ReqKind::Send { world, .. } => world,
-            ReqKind::Recv { world, .. } => world,
-        };
-        world.inner.fabric.pump(world.inner.clock.now_ns());
-    }
-
     /// True for send requests.
     pub fn is_send(&self) -> bool {
         matches!(self.kind, ReqKind::Send { .. })
@@ -346,10 +332,7 @@ impl Request {
     /// [`MpiError::ProcFailed`].
     pub fn drop_reason(&self) -> Option<DropReason> {
         match &self.kind {
-            ReqKind::Send { outcome, .. } => {
-                self.pump();
-                outcome.peek(|o| o.and_then(|o| o.drop_reason))
-            }
+            ReqKind::Send { outcome, .. } => outcome.peek(|o| o.and_then(|o| o.drop_reason)),
             ReqKind::Recv { .. } => None,
         }
     }
@@ -360,11 +343,8 @@ impl Request {
     /// return `true` immediately.
     pub fn wait_delivered(&self, actor: &Actor) -> bool {
         match &self.kind {
-            ReqKind::Send { outcome, world } => {
-                let o = actor.wait_until_labeled("mpi send (fate)", || {
-                    world.inner.fabric.pump(world.inner.clock.now_ns());
-                    outcome.peek(|o| *o)
-                });
+            ReqKind::Send { outcome, .. } => {
+                let o = outcome.wait_labeled(actor, "mpi send (fate)", |o| *o);
                 o.drop_reason.is_none()
             }
             ReqKind::Recv { .. } => true,
@@ -374,7 +354,6 @@ impl Request {
     /// Virtual completion instant, if already determined (`Send` once
     /// the arbiter grants its injection; `Recv` once matched).
     pub fn known_completion(&self) -> Option<SimNs> {
-        self.pump();
         match &self.kind {
             ReqKind::Send { outcome, .. } => outcome.peek(|o| o.map(|o| o.done_at)),
             ReqKind::Recv { id, state, .. } => {
@@ -387,26 +366,16 @@ impl Request {
     /// payload for receives, `None` for sends.
     pub fn wait(self, actor: &Actor) -> Option<RecvResult> {
         match self.kind {
-            ReqKind::Send { outcome, world } => {
-                let done_at = actor.wait_until_labeled("mpi send", || {
-                    world.inner.fabric.pump(world.inner.clock.now_ns());
-                    outcome.peek(|o| o.map(|o| o.done_at))
-                });
+            ReqKind::Send { outcome, .. } => {
+                let done_at = outcome.wait_labeled(actor, "mpi send", |o| o.map(|o| o.done_at));
                 actor.advance_until(done_at);
                 None
             }
             ReqKind::Recv {
-                id,
-                state,
-                members,
-                world,
+                id, state, members, ..
             } => {
                 let clock = state.clock().clone();
-                // Pump *outside* the state lock: a grant callback posts
-                // into this very monitor, so pumping from inside its
-                // predicate would self-deadlock.
                 let res = actor.wait_until_labeled("mpi recv", || {
-                    world.inner.fabric.pump(clock.now_ns());
                     state.try_now(|st| {
                         let visible = st
                             .matched
@@ -445,11 +414,11 @@ impl Request {
     ) -> Result<Option<RecvResult>, MpiError> {
         let deadline = actor.now_ns() + timeout_ns;
         match self.kind {
-            ReqKind::Send { outcome, world } => {
-                world.inner.clock.schedule_alarm(deadline);
+            ReqKind::Send { outcome } => {
+                let clock = outcome.clock().clone();
+                clock.schedule_alarm_for(deadline, actor.key());
                 let res = actor.wait_until_labeled("mpi send (timeout)", || {
-                    let now = world.inner.clock.now_ns();
-                    world.inner.fabric.pump(now);
+                    let now = clock.now_ns();
                     if let Some(o) = outcome.peek(|o| *o) {
                         return Some(Some(o.done_at));
                     }
@@ -469,15 +438,11 @@ impl Request {
                 }
             }
             ReqKind::Recv {
-                id,
-                state,
-                members,
-                world,
+                id, state, members, ..
             } => {
                 let clock = state.clock().clone();
-                clock.schedule_alarm(deadline);
+                clock.schedule_alarm_for(deadline, actor.key());
                 let res = actor.wait_until_labeled("mpi recv (timeout)", || {
-                    world.inner.fabric.pump(clock.now_ns());
                     state.try_now(|st| {
                         let now = clock.now_ns();
                         match st.matched.get(&id) {
@@ -519,8 +484,6 @@ impl Request {
         match self.kind {
             ReqKind::Send { .. } => false,
             ReqKind::Recv { id, state, .. } => state.with(|st| {
-                // No pump: a withdrawn receive does not need in-flight
-                // grants, and callers may hold engine-side locks.
                 let before = st.pending.len();
                 st.pending.retain(|p| p.id != id);
                 if st.pending.len() < before {
@@ -541,7 +504,6 @@ impl Request {
     /// `Some(payload-for-receives)`; `None` means still in flight.
     #[allow(clippy::option_option)]
     pub fn test(&mut self, actor: &Actor) -> Option<Option<RecvResult>> {
-        self.pump();
         match &mut self.kind {
             ReqKind::Send { outcome, .. } => match outcome.peek(|o| *o) {
                 Some(o) if actor.now_ns() >= o.done_at => Some(None),
@@ -584,7 +546,6 @@ impl simtime::Completion for Request {
     /// leaves the payload in place — the engine consumes it with `test`
     /// once the state machine is ready for it.
     fn poll(&self, now: SimNs) -> simtime::CompletionState {
-        self.pump();
         match &self.kind {
             ReqKind::Send { outcome, .. } => match outcome.peek(|o| o.map(|o| o.done_at)) {
                 Some(at) if at <= now => simtime::CompletionState::Complete(at),
@@ -729,10 +690,10 @@ impl Comm {
                 let drop_reason = match fate {
                     FaultOutcome::Deliver { extra_latency_ns } => {
                         let visible_at = res.arrival + extra_latency_ns;
-                        inner.ranks[gdst]
-                            .with(|st| st.post(src, context, tag, datatype, payload, visible_at));
-                        // Wake request waiters at arrival.
-                        inner.clock.schedule_alarm(visible_at);
+                        let rank = &inner.ranks[gdst];
+                        rank.with(|st| st.post(src, context, tag, datatype, payload, visible_at));
+                        // Wake the receiver's request waiters at arrival.
+                        inner.clock.schedule_alarm_for(visible_at, rank.key());
                         None
                     }
                     FaultOutcome::Drop(reason) => {
@@ -745,8 +706,8 @@ impl Comm {
                         Some(reason)
                     }
                 };
-                // Wake request waiters at send completion.
-                inner.clock.schedule_alarm(res.end);
+                // Wake the send's request waiters at its completion.
+                inner.clock.schedule_alarm_for(res.end, outcome.key());
                 outcome.with(|o| {
                     *o = Some(SendOutcome {
                         done_at: res.end,
@@ -766,10 +727,7 @@ impl Comm {
                 .reserve_duration_deferred(self.rank, gdst, tag, d, earliest, complete),
         }
         Request {
-            kind: ReqKind::Send {
-                outcome,
-                world: self.world.clone(),
-            },
+            kind: ReqKind::Send { outcome },
         }
     }
 
@@ -800,7 +758,6 @@ impl Comm {
                 id,
                 state,
                 members: self.members.clone(),
-                world: self.world.clone(),
             },
         }
     }
@@ -882,12 +839,6 @@ impl Comm {
     /// Non-blocking probe: is a matching message *arrived* (visible)?
     pub fn iprobe(&self, actor: &Actor, src: Option<Rank>, tag: Option<Tag>) -> bool {
         let now = actor.now_ns();
-        // Grant any due deferred sends first: the probed message may be
-        // posted but not yet arbitrated.
-        self.world
-            .inner
-            .fabric
-            .pump(self.world.inner.clock.now_ns());
         let gsrc = src.map(|s| self.global_rank(s));
         let context = self.context;
         self.world.inner.ranks[self.rank].peek(|st| {

@@ -271,7 +271,7 @@ impl RmaInner {
                 let arrival = res.arrival + extra_latency_ns;
                 let data = self.apply();
                 self.slot.with(|s| *s = RmaSlot::Done { at: arrival, data });
-                w.clock.schedule_alarm(arrival);
+                w.clock.schedule_alarm_for(arrival, self.slot.key());
             }
             FaultOutcome::Drop(reason) => {
                 w.trace.record(
@@ -286,7 +286,7 @@ impl RmaInner {
                         at: res.end,
                     }
                 });
-                w.clock.schedule_alarm(res.end + 1);
+                w.clock.schedule_alarm_for(res.end + 1, self.slot.key());
             }
         }
     }
@@ -406,11 +406,10 @@ impl RmaHandle {
         })
     }
 
-    /// Drive the op: pump the arbiter, handle a drop (retransmit with
-    /// backoff, or classify a terminal failure), and report state.
-    /// Non-blocking; safe from engine state machines.
-    pub fn poll(&self, now: SimNs) -> RmaPoll {
-        self.inner.comm.world().inner.fabric.pump(now);
+    /// Drive the op: handle a drop (retransmit with backoff, or classify
+    /// a terminal failure), and report state. Non-blocking; safe from
+    /// engine state machines.
+    pub fn poll(&self) -> RmaPoll {
         // Read-only fast path first: no notify when nothing changes.
         enum Next {
             AsIs(RmaPoll),
@@ -462,8 +461,7 @@ impl RmaHandle {
     /// Block until the op settles; on success the calling actor's clock
     /// reaches the completion instant.
     pub fn wait(&self, actor: &Actor) -> Result<SimNs, MpiError> {
-        let clock = self.inner.comm.world().clock().clone();
-        let r = actor.wait_until_labeled("rma op", || match self.poll(clock.now_ns()) {
+        let r = actor.wait_until_labeled("rma op", || match self.poll() {
             RmaPoll::Pending => None,
             RmaPoll::Done { at } => Some(Ok(at)),
             RmaPoll::Failed { err, .. } => Some(Err(err)),
@@ -672,10 +670,10 @@ impl Win {
     /// Drive every pending op of the current epoch once; returns true
     /// when all have settled. Failures are latched into the epoch error
     /// reported by the closing call. Non-blocking.
-    pub fn poll_pending(&self, now: SimNs) -> bool {
+    pub fn poll_pending(&self) -> bool {
         let hs: Vec<RmaHandle> = self.epoch.lock().pending.clone();
         for h in &hs {
-            let _ = h.poll(now);
+            let _ = h.poll();
         }
         let first_err = hs.iter().find_map(|h| h.error());
         let mut ep = self.epoch.lock();
@@ -751,20 +749,17 @@ impl Win {
     /// failures latched during the epoch are reported here.
     pub fn fence(&self, actor: &Actor) -> Result<(), MpiError> {
         let clock = self.comm.world().clock().clone();
-        actor.wait_until_labeled("rma fence ops", || {
-            self.poll_pending(clock.now_ns()).then_some(())
-        });
+        actor.wait_until_labeled("rma fence ops", || self.poll_pending().then_some(()));
         let op_err = self.take_epoch_err();
         let start = clock.now_ns();
         let gen = self.fence_enter(start);
         let deadline = self.comm.world().has_faults().then(|| {
             let d = start + RMA_PATIENCE_NS;
-            clock.schedule_alarm(d);
+            clock.schedule_alarm_for(d, actor.key());
             d
         });
         let sync = actor.wait_until_labeled("rma fence", || {
             let now = clock.now_ns();
-            self.comm.world().inner.fabric.pump(now);
             if self.fence_ready(gen) {
                 return Some(Ok(()));
             }
@@ -798,14 +793,13 @@ impl Win {
         self.shared
             .ctrl
             .with(|c| c.locks[target].queue.push((now, me)));
-        clock.schedule_alarm(now + 1);
+        clock.schedule_alarm_for(now + 1, self.shared.ctrl.key());
         Ok(now)
     }
 
     /// Drive lock arbitration; true once this rank holds `target`'s lock
     /// (the passive epoch is then open). Non-blocking.
     pub fn lock_ready(&self, target: Rank, now: SimNs) -> bool {
-        self.comm.world().inner.fabric.pump(now);
         let me = self.comm.rank();
         if self.shared.ctrl.peek(|c| WinShared::grants_due(c, now)) {
             self.shared.ctrl.with(|c| WinShared::grant_locks(c, now));
@@ -828,7 +822,7 @@ impl Win {
         let clock = self.comm.world().clock().clone();
         let deadline = self.comm.world().has_faults().then(|| {
             let d = start + RMA_PATIENCE_NS;
-            clock.schedule_alarm(d);
+            clock.schedule_alarm_for(d, actor.key());
             d
         });
         actor.wait_until_labeled("rma lock", || {
@@ -854,13 +848,11 @@ impl Win {
         if !self.epoch.lock().locked.contains(&target) {
             return Err(MpiError::RmaNotLocked { target });
         }
-        let clock = self.comm.world().clock().clone();
         actor.wait_until_labeled("rma unlock ops", || {
-            let now = clock.now_ns();
             let hs: Vec<RmaHandle> = self.epoch.lock().pending.clone();
             let mut busy = false;
             for h in hs.iter().filter(|h| h.target() == target) {
-                if matches!(h.poll(now), RmaPoll::Pending) {
+                if matches!(h.poll(), RmaPoll::Pending) {
                     busy = true;
                 }
             }

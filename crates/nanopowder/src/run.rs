@@ -86,6 +86,12 @@ pub struct NanoResult {
     /// Scheduler machine transitions over the whole run (simulator
     /// self-throughput numerator; mode-independent).
     pub sched_events: u64,
+    /// Clock wake-ups through wait keys
+    /// ([`minimpi::WorldResult::keyed_wakes`]).
+    pub keyed_wakes: u64,
+    /// Clock wake-ups through the unkeyed fallback
+    /// ([`minimpi::WorldResult::fallback_wakes`]).
+    pub fallback_wakes: u64,
 }
 
 /// Run `variant` under `cfg`.
@@ -126,6 +132,8 @@ pub fn run_nanopowder_mode(variant: NanoVariant, cfg: NanoConfig, mode: ExecMode
         total_ns,
         final_n,
         sched_events: res.events,
+        keyed_wakes: res.keyed_wakes,
+        fallback_wakes: res.fallback_wakes,
     }
 }
 

@@ -4,7 +4,8 @@
 use crate::fault::{DropReason, FaultInjector, FaultOutcome, FaultPlan};
 use crate::link::{reserve_pair, Link, LinkSpec, Reservation};
 use simtime::plock::Mutex;
-use simtime::{SimClock, SimNs};
+use simtime::{Arbiter, SimClock, SimNs};
+use std::sync::Arc;
 
 /// Index of a node within a cluster.
 pub type NodeId = usize;
@@ -156,19 +157,27 @@ impl ClusterSpec {
 /// into one node — this is what makes the nanopowder coefficient
 /// distribution cost grow with node count, Fig. 10).
 pub struct Fabric {
-    spec: ClusterSpec,
     clock: SimClock,
-    tx: Vec<Link>,
-    rx: Vec<Link>,
-    /// One shared load/store timeline per CXL pool (empty without a
-    /// [`CxlSpec`]): the per-pool contention point for one-sided traffic.
-    pools: Vec<Link>,
+    /// Timelines and the deferred-reservation arbiter, shared with the
+    /// clock, which runs due grants (see [`Fabric::reserve_deferred`]).
+    core: Arc<FabricCore>,
     /// The plan the injectors run under (kept even when trivial, so
     /// higher layers can query node-down schedules cheaply).
     plan: FaultPlan,
     /// One fault injector per source node's tx link (None: perfect fabric,
     /// zero overhead on the hot path).
     faults: Option<Vec<FaultInjector>>,
+}
+
+/// Everything a reservation touches: the link timelines plus the
+/// deferred-reservation queue.
+struct FabricCore {
+    spec: ClusterSpec,
+    tx: Vec<Link>,
+    rx: Vec<Link>,
+    /// One shared load/store timeline per CXL pool (empty without a
+    /// [`CxlSpec`]): the per-pool contention point for one-sided traffic.
+    pools: Vec<Link>,
     /// Deferred-reservation arbiter state (see [`Fabric::reserve_deferred`]).
     defer: Mutex<DeferQueue>,
 }
@@ -246,25 +255,27 @@ impl Fabric {
                 .collect()
         });
         Fabric {
-            spec,
             clock,
-            tx,
-            rx,
-            pools,
+            core: Arc::new(FabricCore {
+                spec,
+                tx,
+                rx,
+                pools,
+                defer: Mutex::new(DeferQueue::default()),
+            }),
             plan,
             faults,
-            defer: Mutex::new(DeferQueue::default()),
         }
     }
 
     /// The static description this fabric was built from.
     pub fn spec(&self) -> &ClusterSpec {
-        &self.spec
+        &self.core.spec
     }
 
     /// Number of nodes wired up.
     pub fn nodes(&self) -> usize {
-        self.tx.len()
+        self.core.nodes()
     }
 
     /// True if a non-trivial fault plan is attached.
@@ -289,17 +300,9 @@ impl Fabric {
         self.plan.node_down_in(node, from, until)
     }
 
-    /// Transport class of the `(src, dst)` node pair for one-sided
-    /// traffic: loopback on the same node, the shared CXL pool port when
-    /// both nodes sit in the same pool, the NIC otherwise.
-    pub fn fabric_class(&self, src: NodeId, dst: NodeId) -> FabricClass {
-        if src == dst {
-            return FabricClass::Loopback;
-        }
-        match (self.spec.pool_of(src), self.spec.pool_of(dst)) {
-            (Some(a), Some(b)) if a == b && a < self.pools.len() => FabricClass::Cxl(a),
-            _ => FabricClass::Nic,
-        }
+    /// The first instant strictly after `t` at which `node` goes down.
+    pub fn next_node_down(&self, node: NodeId, t: SimNs) -> Option<SimNs> {
+        self.plan.next_node_down(node, t)
     }
 
     /// Decide the fate of a one-sided transfer of flow `(src, dst, tag)`.
@@ -359,24 +362,18 @@ impl Fabric {
         total
     }
 
+    /// Transport class of the `(src, dst)` node pair for one-sided
+    /// traffic: loopback on the same node, the shared CXL pool port when
+    /// both nodes sit in the same pool, the NIC otherwise.
+    pub fn fabric_class(&self, src: NodeId, dst: NodeId) -> FabricClass {
+        self.core.fabric_class(src, dst)
+    }
+
     /// Reserve an inter-node transfer of `bytes` from `src` to `dst`,
     /// starting no earlier than `earliest`. Intra-node transfers (src ==
     /// dst) pay a fast loopback: no NIC occupancy, small fixed latency.
     pub fn reserve(&self, src: NodeId, dst: NodeId, bytes: usize, earliest: SimNs) -> Reservation {
-        assert!(
-            src < self.nodes() && dst < self.nodes(),
-            "node out of range"
-        );
-        if src == dst {
-            // Shared-memory loopback: ~6 GB/s memcpy, 1 us latency.
-            let inj = 1_000 + (bytes as f64 / 6.0e9 * 1e9).round() as SimNs;
-            return Reservation {
-                start: earliest,
-                end: earliest + inj,
-                arrival: earliest + inj + 1_000,
-            };
-        }
-        reserve_pair(&self.tx[src], &self.rx[dst], bytes, earliest)
+        self.core.reserve(src, dst, bytes, earliest)
     }
 
     /// Reserve an inter-node window of an explicit duration (for callers
@@ -389,32 +386,7 @@ impl Fabric {
         duration_ns: SimNs,
         earliest: SimNs,
     ) -> Reservation {
-        assert!(
-            src < self.nodes() && dst < self.nodes(),
-            "node out of range"
-        );
-        if src == dst {
-            return Reservation {
-                start: earliest,
-                end: earliest + duration_ns,
-                arrival: earliest + duration_ns + 1_000,
-            };
-        }
-        let tx = &self.tx[src];
-        let rx = &self.rx[dst];
-        let latency = self.spec.link.latency_ns;
-        // Same lock ordering as reserve_pair: tx then rx.
-        tx.with_timelines(rx, |tx_busy, rx_busy| {
-            let start = earliest.max(*tx_busy).max(*rx_busy);
-            let end = start + duration_ns;
-            *tx_busy = end;
-            *rx_busy = end;
-            Reservation {
-                start,
-                end,
-                arrival: end + latency,
-            }
-        })
+        self.core.reserve_duration(src, dst, duration_ns, earliest)
     }
 
     /// Reserve a one-sided (window) transfer of `bytes` from `src` to
@@ -429,15 +401,7 @@ impl Fabric {
         bytes: usize,
         earliest: SimNs,
     ) -> Reservation {
-        assert!(
-            src < self.nodes() && dst < self.nodes(),
-            "node out of range"
-        );
-        match self.fabric_class(src, dst) {
-            FabricClass::Loopback => self.reserve(src, dst, bytes, earliest),
-            FabricClass::Cxl(p) => self.pools[p].reserve(bytes, earliest),
-            FabricClass::Nic => reserve_pair(&self.tx[src], &self.rx[dst], bytes, earliest),
-        }
+        self.core.reserve_rma(src, dst, bytes, earliest)
     }
 
     /// [`Fabric::reserve_rma`] through the deferred-reservation arbiter
@@ -471,14 +435,16 @@ impl Fabric {
     /// virtual instant, link occupancy depends on which OS thread got
     /// there first — a real-time race inside a virtual-time simulation.
     /// A deferred job instead waits until the clock has *passed* its
-    /// start instant; [`Fabric::pump`] then grants every due job in
+    /// start instant; the arbiter then grants every due job in
     /// `(earliest, src, dst, tag, seq)` order and runs `complete` with
     /// its reservation. Reservations are backdated to `earliest`, so the
     /// simulated timeline is exactly what an eager reservation in the
     /// canonical order would have produced.
     ///
-    /// Liveness: posting schedules a clock alarm just past `earliest`, so
-    /// blocked actors re-check (and pump) once the job is grantable.
+    /// Posting arms a clock grant alarm just past `earliest`
+    /// ([`simtime::SimClock::schedule_grant`]): the clock runs the grant
+    /// itself, before any actor resumes at that instant, so every job is
+    /// granted the moment it becomes grantable and no reader has to pump.
     pub fn reserve_deferred(
         &self,
         src: NodeId,
@@ -531,7 +497,7 @@ impl Fabric {
         // freezes each grant batch before it is sorted.
         let earliest = earliest.max(self.clock.now_ns());
         {
-            let mut q = self.defer.lock();
+            let mut q = self.core.defer.lock();
             let seq = q.next_seq;
             q.next_seq += 1;
             q.pending.push(DeferredSend {
@@ -544,16 +510,109 @@ impl Fabric {
                 complete,
             });
         }
-        self.clock.schedule_alarm(earliest + 1);
+        self.clock.schedule_grant(earliest + 1, self.core.clone());
     }
 
     /// Grant every deferred reservation with `earliest < now`, in
-    /// `(earliest, src, dst, tag, seq)` order. Idempotent and callable
-    /// from any thread; the request and engine layers pump from their
-    /// wait predicates. Completions run under the queue lock so that the
-    /// grant order also fixes receiver-side message sequence numbers —
-    /// the other place same-instant order is observable.
+    /// `(earliest, src, dst, tag, seq)` order. The clock calls this itself
+    /// when a job's alarm fires (see [`Fabric::reserve_deferred`]), so
+    /// nobody needs to pump from a wait predicate; it stays public for
+    /// teardown drains and tests. Idempotent and callable from any thread.
     pub fn pump(&self, now: SimNs) {
+        self.core.grant(now);
+    }
+
+    /// Number of posted-but-ungranted deferred reservations (diagnostics).
+    pub fn deferred_pending(&self) -> usize {
+        self.core.defer.lock().pending.len()
+    }
+}
+
+impl FabricCore {
+    fn nodes(&self) -> usize {
+        self.tx.len()
+    }
+
+    fn fabric_class(&self, src: NodeId, dst: NodeId) -> FabricClass {
+        if src == dst {
+            return FabricClass::Loopback;
+        }
+        match (self.spec.pool_of(src), self.spec.pool_of(dst)) {
+            (Some(a), Some(b)) if a == b && a < self.pools.len() => FabricClass::Cxl(a),
+            _ => FabricClass::Nic,
+        }
+    }
+
+    fn reserve(&self, src: NodeId, dst: NodeId, bytes: usize, earliest: SimNs) -> Reservation {
+        assert!(
+            src < self.nodes() && dst < self.nodes(),
+            "node out of range"
+        );
+        if src == dst {
+            // Shared-memory loopback: ~6 GB/s memcpy, 1 us latency.
+            let inj = 1_000 + (bytes as f64 / 6.0e9 * 1e9).round() as SimNs;
+            return Reservation {
+                start: earliest,
+                end: earliest + inj,
+                arrival: earliest + inj + 1_000,
+            };
+        }
+        reserve_pair(&self.tx[src], &self.rx[dst], bytes, earliest)
+    }
+
+    fn reserve_duration(
+        &self,
+        src: NodeId,
+        dst: NodeId,
+        duration_ns: SimNs,
+        earliest: SimNs,
+    ) -> Reservation {
+        assert!(
+            src < self.nodes() && dst < self.nodes(),
+            "node out of range"
+        );
+        if src == dst {
+            return Reservation {
+                start: earliest,
+                end: earliest + duration_ns,
+                arrival: earliest + duration_ns + 1_000,
+            };
+        }
+        let tx = &self.tx[src];
+        let rx = &self.rx[dst];
+        let latency = self.spec.link.latency_ns;
+        // Same lock ordering as reserve_pair: tx then rx.
+        tx.with_timelines(rx, |tx_busy, rx_busy| {
+            let start = earliest.max(*tx_busy).max(*rx_busy);
+            let end = start + duration_ns;
+            *tx_busy = end;
+            *rx_busy = end;
+            Reservation {
+                start,
+                end,
+                arrival: end + latency,
+            }
+        })
+    }
+
+    fn reserve_rma(&self, src: NodeId, dst: NodeId, bytes: usize, earliest: SimNs) -> Reservation {
+        assert!(
+            src < self.nodes() && dst < self.nodes(),
+            "node out of range"
+        );
+        match self.fabric_class(src, dst) {
+            FabricClass::Loopback => self.reserve(src, dst, bytes, earliest),
+            FabricClass::Cxl(p) => self.pools[p].reserve(bytes, earliest),
+            FabricClass::Nic => reserve_pair(&self.tx[src], &self.rx[dst], bytes, earliest),
+        }
+    }
+}
+
+impl Arbiter for FabricCore {
+    /// Completions run under the queue lock so that the grant order also
+    /// fixes receiver-side message sequence numbers — the other place
+    /// same-instant order is observable.
+    fn grant(&self, now: SimNs) {
         let mut q = self.defer.lock();
         if !q.pending.iter().any(|j| j.earliest < now) {
             return;
@@ -576,11 +635,6 @@ impl Fabric {
             };
             (j.complete)(r);
         }
-    }
-
-    /// Number of posted-but-ungranted deferred reservations (diagnostics).
-    pub fn deferred_pending(&self) -> usize {
-        self.defer.lock().pending.len()
     }
 }
 

@@ -218,6 +218,17 @@ impl FaultPlan {
             .any(|w| w.node == node && w.from < until && from < w.until)
     }
 
+    /// The first instant strictly after `t` at which `node` goes down, if
+    /// any: the wake-up a waiter deciding on [`FaultPlan::node_down_at`]
+    /// must park on to notice the kill when it happens.
+    pub fn next_node_down(&self, node: NodeId, t: SimNs) -> Option<SimNs> {
+        self.node_down
+            .iter()
+            .filter(|w| w.node == node && w.from > t)
+            .map(|w| w.from)
+            .min()
+    }
+
     /// The earliest scheduled death of `node`, if any (`from` of its
     /// first window in time order).
     pub fn node_down_since(&self, node: NodeId) -> Option<SimNs> {

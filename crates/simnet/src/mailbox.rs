@@ -23,10 +23,10 @@ struct MailboxState<T> {
 
 /// A clock-aware mailbox with predicate-based selective receive.
 ///
-/// Posting schedules a clock alarm at `visible_at`, so a receiver blocked
-/// on an envelope that is still "in flight" wakes exactly at its arrival —
-/// even if no other actor is active. This is how `minimpi` gives messages
-/// real network timing without a progress thread.
+/// Posting schedules an alarm for the mailbox's key at `visible_at`, so a
+/// receiver blocked on an envelope that is still "in flight" wakes exactly
+/// at its arrival — even if no other actor is active. This is how
+/// `minimpi` gives messages real network timing without a progress thread.
 pub struct Mailbox<T> {
     inner: Arc<Monitor<MailboxState<T>>>,
 }
@@ -66,7 +66,9 @@ impl<T: Send> Mailbox<T> {
             });
             seq
         });
-        self.inner.clock().schedule_alarm(visible_at);
+        self.inner
+            .clock()
+            .schedule_alarm_for(visible_at, self.inner.key());
         seq
     }
 

@@ -1,29 +1,50 @@
-//! The virtual clock and actor registration.
+//! The virtual clock, actor registration, and keyed wake-ups.
 //!
 //! See the crate docs for the model. Implementation notes:
 //!
-//! * A single `Mutex<ClockState>` + `Condvar` coordinates everything. The
-//!   scale of this workspace (tens of actors, thousands of events per run)
-//!   does not warrant anything finer-grained, and a single monitor keeps
-//!   the advancement invariant easy to audit.
-//! * `runnable` counts actors currently executing user code. Whenever it
-//!   (together with `pending_wakes`) reaches zero, the decrementing thread
-//!   advances the clock to the earliest pending target (sleeper or alarm).
-//! * `pending_wakes` closes the race between "the clock advanced to time t,
-//!   waking k sleepers" and "those k threads have not been scheduled by the
-//!   OS yet": until every due sleeper has resumed, the clock must not move
-//!   again.
-//! * A generation counter (`gen`) implements lost-wakeup-free predicate
-//!   waiting: [`Actor::wait_until`] snapshots `gen`, evaluates the
-//!   predicate *outside* the clock lock, and only blocks if `gen` is
-//!   unchanged. Every cross-actor state change bumps `gen` via
-//!   [`SimClock::notify`].
+//! * One `Mutex<ClockState>` holds the advancement bookkeeping, so the
+//!   advancement invariant stays auditable in one place. Wake-ups are
+//!   *keyed*: worlds of hundreds of rank threads cannot afford to wake
+//!   every blocked actor on every cross-actor state change.
+//! * Every [`crate::Monitor`] (and so every channel, barrier, mailbox and
+//!   request slot) owns a [`WaitKey`]. While an actor evaluates its
+//!   [`Actor::wait_until`] predicate, each key the predicate reads is
+//!   recorded in a per-thread read set, and the actor blocks on exactly
+//!   that set. A mutation notifies the monitor's key, which wakes only
+//!   the waiters holding it. Every actor also owns a key that is always in its read set,
+//!   so a timer it arms for itself ([`SimClock::schedule_alarm_for`] with
+//!   [`Actor::key`]) wakes it alone.
+//! * Alarms carry a target: a key, a deferred [`Arbiter`], or nobody in
+//!   particular. An arbiter's grants run when its alarm fires, before any
+//!   actor resumes at that instant, so every job due at an instant is
+//!   granted at that instant whichever waiters a key happens to wake.
+//! * [`SimClock::notify`] and [`SimClock::schedule_alarm`] stay as the
+//!   unkeyed fallback: they wake every blocked actor. Waiters whose
+//!   predicate read no key sleep on one shared condvar, so the fallback
+//!   costs one broadcast; keyed waiters and sleepers park on their own
+//!   condvars and are signalled one by one.
+//! * `runnable` counts actors executing user code. When it reaches zero
+//!   together with `pending_wakes` (sleepers released, not yet resumed)
+//!   and `recheck_pending` (waiters woken, not yet re-evaluated), the
+//!   decrementing thread advances the clock to the earliest pending
+//!   target. Conservative advance stays exact because the clock moves
+//!   only when no woken waiter is still pending: every waiter whose
+//!   inputs changed at an instant re-evaluates at that instant.
+//! * Lost-wakeup freedom: a waiter snapshots the generation `gen` before
+//!   evaluating. Every notification bumps `gen` and stamps the notified
+//!   key with it; a waiter about to block re-evaluates instead if a key
+//!   of its read set, or the fallback, was stamped after its snapshot.
+//! * Debug builds audit every instant: before the clock leaves it, each
+//!   blocked waiter not already woken re-evaluates once. An audit
+//!   evaluation that succeeds or notifies a key reveals a missed wake-up
+//!   and panics with the wait label and the instant.
 
-use crate::plock::{Condvar, Mutex};
+use crate::plock::{Condvar, Mutex, MutexGuard};
+use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::Duration;
 
 use crate::sched::{self, ExecMode, MachineHandle, SchedPool, ShardState, SimActor};
@@ -40,30 +61,172 @@ pub enum ActorStatus {
     Blocked(&'static str),
 }
 
+/// A wake-up source: the identity of a piece of cross-actor state.
+///
+/// Reading the state inside a wait predicate records the key in the
+/// predicate's read set; changing it notifies the key. [`crate::Monitor`]
+/// does both for every access, so code built on the [`crate::sync`]
+/// primitives never handles keys except to aim an alarm
+/// ([`SimClock::schedule_alarm_for`] with [`crate::Monitor::key`] or
+/// [`Actor::key`]). Cloning yields the same key.
+#[derive(Clone)]
+pub struct WaitKey(Arc<KeyCell>);
+
+#[derive(Default)]
+struct KeyCell {
+    /// Clock generation of the latest notification through this key.
+    stamped: AtomicU64,
+    /// The actor whose own key this is: it is the only waiter ever
+    /// holding it, so it is woken directly instead of through the
+    /// clock's waiter index.
+    owner: Option<u64>,
+}
+
+impl WaitKey {
+    /// A fresh key, distinct from every other.
+    pub(crate) fn new() -> Self {
+        WaitKey(Arc::new(KeyCell::default()))
+    }
+
+    fn owned_by(actor: u64) -> Self {
+        WaitKey(Arc::new(KeyCell {
+            stamped: AtomicU64::new(0),
+            owner: Some(actor),
+        }))
+    }
+
+    fn id(&self) -> usize {
+        Arc::as_ptr(&self.0) as usize
+    }
+
+    /// Add this key to the read set of the wait predicate the current
+    /// thread is evaluating (a no-op outside predicate evaluation).
+    pub(crate) fn record(&self) {
+        READ_SET.with(|r| {
+            if let Some(set) = r.borrow_mut().as_mut() {
+                set.push(self.clone());
+            }
+        });
+    }
+}
+
+thread_local! {
+    /// Keys read by the predicate this thread is evaluating, if any.
+    static READ_SET: RefCell<Option<Vec<WaitKey>>> = const { RefCell::new(None) };
+    /// Notifications issued by this thread (the debug audit's witness).
+    #[cfg(debug_assertions)]
+    static NOTIFIED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Run `f` with reads recorded into `keys` (restored even if `f` panics).
+fn recording<R>(keys: &mut Vec<WaitKey>, f: impl FnOnce() -> R) -> R {
+    struct Restore<'a> {
+        keys: &'a mut Vec<WaitKey>,
+        prev: Option<Vec<WaitKey>>,
+    }
+    impl Drop for Restore<'_> {
+        fn drop(&mut self) {
+            if let Some(set) = READ_SET.with(|r| r.replace(self.prev.take())) {
+                *self.keys = set;
+            }
+        }
+    }
+    let prev = READ_SET.with(|r| r.replace(Some(std::mem::take(keys))));
+    let _restore = Restore { keys, prev };
+    f()
+}
+
+fn count_notify() {
+    #[cfg(debug_assertions)]
+    NOTIFIED.with(|n| n.set(n.get() + 1));
+}
+
+/// A deferred arbiter driven by the clock. [`SimClock::schedule_grant`]
+/// arms an alarm; when it fires, the clock calls [`Arbiter::grant`] with
+/// the alarm instant before any actor resumes there.
+pub trait Arbiter: Send + Sync {
+    /// Grant every job due strictly before `now`. Must not block; may
+    /// mutate monitors, notify keys and schedule alarms.
+    fn grant(&self, now: SimNs);
+}
+
+/// Whom an alarm wakes when it fires.
+enum AlarmTarget {
+    /// Every blocked actor (the unkeyed fallback).
+    All,
+    /// The waiters holding this key.
+    Key(WaitKey),
+    /// An arbiter's due grants. Weak: arbiters hold monitors, which hold
+    /// the clock, so a strong reference from a stale alarm would leak
+    /// both.
+    Grant(Weak<dyn Arbiter>),
+}
+
 struct ActorInfo {
     label: String,
     status: ActorStatus,
+    /// The actor's own condvar (keyed waits and sleeps).
+    cv: Arc<Condvar>,
+    /// Set by whoever releases the actor from a sleep or a blocked wait.
+    woken: bool,
+    /// Blocked on the shared condvar: the predicate read no key but the
+    /// actor's own.
+    shared_cv: bool,
+    /// This release is an audit re-evaluation (debug builds).
+    audit: bool,
+}
+
+impl ActorInfo {
+    /// Release a blocked, not yet woken waiter. Returns whether it waits
+    /// on the shared condvar (`None`: nothing to release).
+    fn release(&mut self, audit: bool) -> Option<bool> {
+        if self.woken || !matches!(self.status, ActorStatus::Blocked(_)) {
+            return None;
+        }
+        self.woken = true;
+        self.audit = audit;
+        if !self.shared_cv {
+            self.cv.notify_one();
+        }
+        Some(self.shared_cv)
+    }
 }
 
 #[derive(Default)]
 struct ClockState {
     now: SimNs,
-    /// Bumped by [`SimClock::notify`] and by alarm firings.
-    gen: u64,
+    /// `ClockInner::gen` of the latest unkeyed (wake-everyone)
+    /// notification.
+    fallback_gen: u64,
     /// Actors currently executing user code.
     runnable: usize,
-    /// Sleepers the clock has advanced to, that have not yet resumed.
+    /// Sleepers the clock has released that have not yet resumed.
     pending_wakes: usize,
-    /// Blocked waiters that have been notified (gen bumped) but have not
-    /// yet been scheduled to re-evaluate their predicates. While nonzero
-    /// the clock must not advance and a deadlock must not be declared.
+    /// Blocked waiters that have been woken but have not yet been
+    /// scheduled to re-evaluate their predicates. While nonzero the clock
+    /// must not advance and a deadlock must not be declared.
     recheck_pending: usize,
-    /// Actors blocked in `wait_until` (for deadlock detection only).
+    /// Actors blocked in `wait_until`.
     blocked: usize,
-    /// (wake_time, unique_seq) per sleeping actor.
-    sleepers: BinaryHeap<Reverse<(SimNs, u64)>>,
-    /// Thread-less wake-up targets (e.g. "a message becomes visible at t").
-    alarms: BinaryHeap<Reverse<SimNs>>,
+    /// Set while the clock runs arbiter grants with its lock released.
+    granting: bool,
+    /// Notifications issued by those grants, held back until the whole
+    /// grant pass is done (`held_all`: an unkeyed one).
+    held: Vec<WaitKey>,
+    held_all: bool,
+    /// (wake_time, unique_seq, actor) per sleeping actor.
+    sleepers: BinaryHeap<Reverse<(SimNs, u64, u64)>>,
+    /// Thread-less wake-up targets by instant (e.g. "a message becomes
+    /// visible at t").
+    alarms: BTreeMap<SimNs, Vec<AlarmTarget>>,
+    /// Blocked actors by the id of each key in their read sets.
+    waiters: BTreeMap<usize, Vec<u64>>,
+    /// Waiter releases through a key, and through the fallback.
+    keyed_wakes: u64,
+    fallback_wakes: u64,
+    /// The instant whose blocked waiters were last audited.
+    #[cfg(debug_assertions)]
+    audited_at: Option<SimNs>,
     next_seq: u64,
     next_actor: u64,
     /// Registered actors by id. A `BTreeMap` so that any iteration (the
@@ -76,6 +239,10 @@ struct ClockState {
 
 struct ClockInner {
     state: Mutex<ClockState>,
+    /// Bumped (under `state`) by every notification, keyed or not. Read
+    /// without the lock as a waiter's pre-evaluation snapshot.
+    gen: AtomicU64,
+    /// Shared condvar of waiters that read no key.
     cv: Condvar,
     /// How spawned machines execute ([`SimClock::spawn_machine`]).
     mode: ExecMode,
@@ -88,18 +255,100 @@ struct ClockInner {
 }
 
 impl ClockInner {
+    /// Advance the notification generation (under the state lock, so
+    /// stamps and `fallback_gen` are totally ordered with it).
+    fn bump_gen(&self) -> u64 {
+        self.gen.fetch_add(1, Ordering::AcqRel) + 1
+    }
+
+    /// Wake the waiters holding `key`.
+    fn notify_key_locked(&self, st: &mut ClockState, key: &WaitKey) {
+        let gen = self.bump_gen();
+        key.0.stamped.store(gen, Ordering::Relaxed);
+        if st.granting {
+            st.held.push(key.clone());
+            return;
+        }
+        // Every listed waiter is blocked: those not yet woken are woken
+        // now, the rest are about to deregister. So the entry goes.
+        let ids = match key.0.owner {
+            Some(id) => vec![id],
+            None => match st.waiters.remove(&key.id()) {
+                Some(ids) => ids,
+                None => return,
+            },
+        };
+        let mut broadcast = false;
+        for id in ids {
+            if let Some(shared) = st.actors.get_mut(&id).and_then(|a| a.release(false)) {
+                broadcast |= shared;
+                st.recheck_pending += 1;
+                st.keyed_wakes += 1;
+            }
+        }
+        if broadcast {
+            self.cv.notify_all();
+        }
+    }
+
+    /// Release every blocked waiter not already woken; returns how many.
+    fn release_all(&self, st: &mut ClockState, audit: bool) -> usize {
+        let mut n = 0;
+        let mut broadcast = false;
+        for a in st.actors.values_mut() {
+            if let Some(shared) = a.release(audit) {
+                broadcast |= shared;
+                n += 1;
+            }
+        }
+        st.recheck_pending += n;
+        if broadcast {
+            self.cv.notify_all();
+        }
+        n
+    }
+
+    /// The unkeyed fallback: every blocked actor re-evaluates.
+    fn notify_all_locked(&self, st: &mut ClockState) {
+        st.fallback_gen = self.bump_gen();
+        if st.granting {
+            st.held_all = true;
+            return;
+        }
+        let n = self.release_all(st, false);
+        st.fallback_wakes += n as u64;
+    }
+
+    /// Poison the clock and wake every actor so it fails fast.
+    fn poison(&self, st: &mut ClockState) {
+        st.poisoned = true;
+        self.bump_gen();
+        self.cv.notify_all();
+        for a in st.actors.values() {
+            a.cv.notify_all();
+        }
+    }
+
     /// Advance the clock if every actor is quiescent. Must be called by any
-    /// path that decrements `runnable` (possibly) to zero.
-    fn maybe_advance(&self, st: &mut ClockState) {
+    /// path that decrements `runnable` (possibly) to zero. May release the
+    /// lock while arbiter grants run.
+    fn maybe_advance(&self, st: &mut MutexGuard<'_, ClockState>) {
         // Loop: an alarm may fire at an instant where no sleeper is due and
-        // no waiter is blocked (e.g. a message arrives while its receiver
-        // is off sleeping past it); the clock must then keep advancing to
-        // the next target, because no other thread will re-drive it.
+        // no waiter listens (e.g. a message arrives while its receiver is
+        // off sleeping past it); the clock must then keep advancing to the
+        // next target, because no other thread will re-drive it.
         loop {
-            if st.runnable > 0 || st.pending_wakes > 0 || st.recheck_pending > 0 {
+            if st.runnable > 0 || st.pending_wakes > 0 || st.recheck_pending > 0 || st.granting {
                 return;
             }
-            let next_sleep = st.sleepers.peek().map(|Reverse((t, _))| *t);
+            #[cfg(debug_assertions)]
+            if st.blocked > 0 && st.audited_at != Some(st.now) {
+                st.audited_at = Some(st.now);
+                if self.release_all(st, true) > 0 {
+                    return; // audit evaluations re-drive the advance
+                }
+            }
+            let next_sleep = st.sleepers.peek().map(|Reverse((t, _, _))| *t);
             // Alarms exist to re-check blocked predicate waiters. With
             // nobody blocked they must not *drive* the advance — a stale
             // alarm (e.g. a recv timeout satisfied early) would otherwise
@@ -107,7 +356,7 @@ impl ClockInner {
             // stay queued: a sleeper may still wake and block on a
             // predicate whose wake-up is one of these alarms.
             let next_alarm = if st.blocked > 0 {
-                st.alarms.peek().map(|Reverse(t)| *t)
+                st.alarms.keys().next().copied()
             } else {
                 None
             };
@@ -118,8 +367,7 @@ impl ClockInner {
                 (None, None) => {
                     if st.blocked > 0 {
                         let report = self.render_actors(st);
-                        st.poisoned = true;
-                        self.cv.notify_all();
+                        self.poison(st);
                         panic!(
                             "simtime: deadlock — all {} blocked actor(s) wait on predicates and \
                              no sleeper or alarm can advance the clock past t={}:\n{report}",
@@ -131,24 +379,55 @@ impl ClockInner {
             };
             debug_assert!(target >= st.now, "clock would move backwards");
             st.now = target;
-            while matches!(st.sleepers.peek(), Some(Reverse((t, _))) if *t <= target) {
-                st.sleepers.pop();
-                st.pending_wakes += 1;
+            let mut grants: Vec<Arc<dyn Arbiter>> = Vec::new();
+            let mut keys = Vec::new();
+            let mut everyone = false;
+            while let Some(e) = st.alarms.first_entry() {
+                if *e.key() > target {
+                    break;
+                }
+                for t in e.remove() {
+                    match t {
+                        AlarmTarget::All => everyone = true,
+                        AlarmTarget::Key(k) => keys.push(k),
+                        AlarmTarget::Grant(g) => grants.extend(g.upgrade()),
+                    }
+                }
             }
-            let mut alarm_fired = false;
-            while matches!(st.alarms.peek(), Some(Reverse(t)) if *t <= target) {
-                st.alarms.pop();
-                alarm_fired = true;
+            // Grants first, as one atomic pass: nobody resumes at
+            // `target` before every job due there is granted, and the
+            // wake-ups the grants cause are held until the pass ends, so
+            // no waiter ever observes half a grant batch (which waiter
+            // sees which grant first would otherwise be a host race).
+            if !grants.is_empty() {
+                st.granting = true;
+                st.unlocked(|| {
+                    for g in &grants {
+                        g.grant(target);
+                    }
+                });
+                st.granting = false;
+                keys.append(&mut st.held);
+                everyone |= std::mem::take(&mut st.held_all);
             }
-            if alarm_fired {
-                st.gen += 1;
-                st.recheck_pending = st.blocked;
+            while matches!(st.sleepers.peek(), Some(Reverse((t, _, _))) if *t <= target) {
+                let Some(Reverse((_, _, id))) = st.sleepers.pop() else {
+                    break;
+                };
+                if let Some(a) = st.actors.get_mut(&id) {
+                    a.woken = true;
+                    a.cv.notify_one();
+                    st.pending_wakes += 1;
+                }
             }
-            self.cv.notify_all();
-            if st.pending_wakes > 0 || st.recheck_pending > 0 {
-                return; // woken threads will drive further progress
+            for k in &keys {
+                self.notify_key_locked(st, k);
             }
-            // Only alarms fired and nobody was listening: advance further.
+            if everyone {
+                self.notify_all_locked(st);
+            }
+            // Woken threads (or the grant-woken ones still running) will
+            // drive further progress; otherwise nobody was listening.
         }
     }
 
@@ -227,6 +506,7 @@ impl SimClock {
         SimClock {
             inner: Arc::new(ClockInner {
                 state: Mutex::new(ClockState::default()),
+                gen: AtomicU64::new(0),
                 cv: Condvar::new(),
                 mode,
                 pool: SchedPool::new(sched::shard_count_from_env()),
@@ -251,9 +531,27 @@ impl SimClock {
         self.inner.events.load(Ordering::Relaxed)
     }
 
+    /// Blocked waiters released through a key (a keyed notification or
+    /// a keyed alarm) so far.
+    pub fn keyed_wakes(&self) -> u64 {
+        self.inner.state.lock().keyed_wakes
+    }
+
+    /// Blocked waiters released through the unkeyed fallback
+    /// ([`SimClock::notify`], [`SimClock::schedule_alarm`]) so far. Zero
+    /// means no wait in the run depended on a wake-everyone path.
+    pub fn fallback_wakes(&self) -> u64 {
+        self.inner.state.lock().fallback_wakes
+    }
+
     /// Access one event-mode shard (shard workers and diagnostics).
     pub(crate) fn shard(&self, i: usize) -> &Mutex<ShardState> {
         &self.inner.pool.shards[i]
+    }
+
+    /// The key a shard worker's pass reads and a spawn into it notifies.
+    pub(crate) fn shard_key(&self, i: usize) -> &WaitKey {
+        &self.inner.pool.keys[i]
     }
 
     /// Block (in real time) until the event-mode scheduler is fully
@@ -340,7 +638,7 @@ impl SimClock {
                         .expect("spawn shard worker");
                 }
                 // An already-parked worker re-polls only on notification.
-                self.notify();
+                self.notify_key(self.shard_key(shard));
                 MachineHandle::event()
             }
         }
@@ -366,11 +664,16 @@ impl SimClock {
             ActorInfo {
                 label: label.into(),
                 status: ActorStatus::Running,
+                cv: Arc::new(Condvar::new()),
+                woken: false,
+                shared_cv: false,
+                audit: false,
             },
         );
         Actor {
             clock: self.clone(),
             id,
+            key: WaitKey::owned_by(id),
         }
     }
 
@@ -379,28 +682,79 @@ impl SimClock {
         self.inner.state.lock().now
     }
 
-    /// Announce that cross-actor state changed: every blocked actor will
-    /// re-evaluate its predicate. Called automatically by [`crate::sync`].
+    /// The unkeyed fallback: every blocked actor re-evaluates its
+    /// predicate. State kept in a [`crate::Monitor`] needs no call at
+    /// all: its mutations wake only its readers.
     pub fn notify(&self) {
+        count_notify();
         let mut st = self.inner.state.lock();
-        st.gen += 1;
-        st.recheck_pending = st.blocked;
-        self.inner.cv.notify_all();
+        self.inner.notify_all_locked(&mut st);
     }
 
-    /// Schedule a thread-less wake-up: at virtual time `at`, blocked actors
-    /// re-evaluate their predicates. Use this when an *event in the future*
-    /// (e.g. a message arrival) may unblock a waiter, but no thread will be
-    /// sleeping until then. If `at` is not in the future this is just
-    /// [`SimClock::notify`].
+    /// Announce that the state behind `key` changed: the blocked actors
+    /// whose predicates read it re-evaluate. Called by every
+    /// [`crate::Monitor`] mutation.
+    pub(crate) fn notify_key(&self, key: &WaitKey) {
+        count_notify();
+        let mut st = self.inner.state.lock();
+        self.inner.notify_key_locked(&mut st, key);
+    }
+
+    /// Unkeyed thread-less wake-up: at virtual time `at`, every blocked
+    /// actor re-evaluates. If `at` is not in the future this is just
+    /// [`SimClock::notify`]. Prefer [`SimClock::schedule_alarm_for`].
     pub fn schedule_alarm(&self, at: SimNs) {
         let mut st = self.inner.state.lock();
         if at <= st.now {
-            st.gen += 1;
-            st.recheck_pending = st.blocked;
-            self.inner.cv.notify_all();
+            count_notify();
+            self.inner.notify_all_locked(&mut st);
         } else {
-            st.alarms.push(Reverse(at));
+            st.alarms.entry(at).or_default().push(AlarmTarget::All);
+        }
+    }
+
+    /// Schedule a thread-less wake-up for the readers of `key`: at virtual
+    /// time `at` they re-evaluate. Use this when an *event in the future*
+    /// (e.g. a message arrival) may unblock a waiter, but no thread will
+    /// be sleeping until then; pass [`Actor::key`] for a timer that only
+    /// the arming actor waits on. If `at` is not in the future the key's
+    /// readers are woken at once.
+    pub fn schedule_alarm_for(&self, at: SimNs, key: &WaitKey) {
+        let mut st = self.inner.state.lock();
+        if at <= st.now {
+            count_notify();
+            self.inner.notify_key_locked(&mut st, key);
+            return;
+        }
+        let targets = st.alarms.entry(at).or_default();
+        let dup = targets
+            .iter()
+            .any(|t| matches!(t, AlarmTarget::Key(k) if k.id() == key.id()));
+        if !dup {
+            targets.push(AlarmTarget::Key(key.clone()));
+        }
+    }
+
+    /// Have the clock call `arbiter.grant(at)` once virtual time reaches
+    /// `at`, before any actor resumes at that instant. The alarm drives
+    /// the clock like any other while some actor is blocked; when the
+    /// clock jumps past `at` instead, the grant runs at the instant it
+    /// lands on. An `at` not in the future grants at once.
+    pub fn schedule_grant(&self, at: SimNs, arbiter: Arc<dyn Arbiter>) {
+        let mut st = self.inner.state.lock();
+        if at <= st.now {
+            let now = st.now;
+            drop(st);
+            arbiter.grant(now);
+            return;
+        }
+        let arbiter = Arc::downgrade(&arbiter);
+        let targets = st.alarms.entry(at).or_default();
+        let dup = targets
+            .iter()
+            .any(|t| matches!(t, AlarmTarget::Grant(g) if Weak::ptr_eq(g, &arbiter)));
+        if !dup {
+            targets.push(AlarmTarget::Grant(arbiter));
         }
     }
 
@@ -429,12 +783,20 @@ impl SimClock {
 pub struct Actor {
     clock: SimClock,
     id: u64,
+    key: WaitKey,
 }
 
 impl Actor {
     /// The clock this actor is registered with.
     pub fn clock(&self) -> &SimClock {
         &self.clock
+    }
+
+    /// This actor's own wake-up key. It is in the read set of every
+    /// predicate the actor waits on, so an alarm scheduled for it
+    /// ([`SimClock::schedule_alarm_for`]) wakes this actor alone.
+    pub fn key(&self) -> &WaitKey {
+        &self.key
     }
 
     /// Current virtual time in nanoseconds.
@@ -458,25 +820,31 @@ impl Actor {
         let wake = st.now + ns;
         let seq = st.next_seq;
         st.next_seq += 1;
-        st.sleepers.push(Reverse((wake, seq)));
+        st.sleepers.push(Reverse((wake, seq, self.id)));
         st.runnable -= 1;
-        if let Some(a) = st.actors.get_mut(&self.id) {
+        let cv = self.info(&mut st).map(|a| {
             a.status = ActorStatus::Sleeping(wake);
-        }
+            a.cv.clone()
+        });
         inner.maybe_advance(&mut st);
-        while st.now < wake && !st.poisoned {
-            inner.cv.wait(&mut st);
+        while !st.poisoned && !self.info(&mut st).is_some_and(|a| a.woken) {
+            if let Some(cv) = &cv {
+                cv.wait(&mut st);
+            }
         }
-        if st.poisoned {
-            // Our sleeper entry may or may not have been consumed; the run
-            // is aborting anyway.
-            panic!("simtime: clock poisoned while sleeping");
-        }
+        // Our sleeper entry may or may not have been consumed if poisoned;
+        // the run is aborting anyway.
+        SimClock::check_poison(&st);
         st.pending_wakes -= 1;
         st.runnable += 1;
-        if let Some(a) = st.actors.get_mut(&self.id) {
+        if let Some(a) = self.info(&mut st) {
+            a.woken = false;
             a.status = ActorStatus::Running;
         }
+    }
+
+    fn info<'a>(&self, st: &'a mut ClockState) -> Option<&'a mut ActorInfo> {
+        st.actors.get_mut(&self.id)
     }
 
     /// Advance to absolute virtual time `t` (no-op if already past it).
@@ -487,10 +855,12 @@ impl Actor {
         }
     }
 
-    /// Block until `pred` returns `Some`, re-evaluating whenever any actor
-    /// calls [`SimClock::notify`] (directly or through [`crate::sync`]) or
-    /// an alarm fires. The predicate is evaluated **without** the clock
-    /// lock held, so it may freely take other locks.
+    /// Block until `pred` returns `Some`, re-evaluating whenever a monitor
+    /// the predicate read changes ([`crate::sync`]), on the fallback
+    /// [`SimClock::notify`], and when an alarm for one of the keys it read
+    /// (or for [`Actor::key`]) fires. The predicate is
+    /// evaluated **without** the clock lock held, so it may freely take
+    /// other locks.
     pub fn wait_until<T>(&self, pred: impl FnMut() -> Option<T>) -> T {
         self.wait_until_labeled("<predicate>", pred)
     }
@@ -502,35 +872,79 @@ impl Actor {
         mut pred: impl FnMut() -> Option<T>,
     ) -> T {
         let inner = &self.clock.inner;
+        let mut keys: Vec<WaitKey> = Vec::new();
+        let mut audit = false;
         loop {
-            let gen = {
-                let st = inner.state.lock();
-                SimClock::check_poison(&st);
-                st.gen
-            };
-            if let Some(v) = pred() {
+            // No lock needed: a change the predicate misses is notified
+            // after this load, so its stamp exceeds the snapshot.
+            let gen = inner.gen.load(Ordering::Acquire);
+            keys.clear();
+            keys.push(self.key.clone());
+            #[cfg(debug_assertions)]
+            let notified = NOTIFIED.with(|n| n.get());
+            let out = recording(&mut keys, &mut pred);
+            #[cfg(debug_assertions)]
+            if audit && (out.is_some() || NOTIFIED.with(|n| n.get()) != notified) {
+                panic!(
+                    "simtime: missed wake-up — `{label}` progressed at t={} although none \
+                     of the keys it read was notified",
+                    self.now_ns()
+                );
+            }
+            if let Some(v) = out {
                 return v;
             }
+            keys.sort_unstable_by_key(WaitKey::id);
+            keys.dedup_by_key(|k| k.id());
             let mut st = inner.state.lock();
             SimClock::check_poison(&st);
-            if st.gen != gen {
-                continue; // something changed while we evaluated; recheck
+            if st.fallback_gen > gen
+                || keys
+                    .iter()
+                    .any(|k| k.0.stamped.load(Ordering::Relaxed) > gen)
+            {
+                audit = false;
+                continue; // something we read changed while we evaluated
+            }
+            // Only our own key: nobody can target us but our own alarms
+            // and the fallback, whose broadcast the shared condvar serves.
+            let shared = keys.len() == 1;
+            for k in keys.iter().filter(|k| k.0.owner.is_none()) {
+                st.waiters.entry(k.id()).or_default().push(self.id);
             }
             st.runnable -= 1;
             st.blocked += 1;
-            if let Some(a) = st.actors.get_mut(&self.id) {
+            let cv = self.info(&mut st).map(|a| {
                 a.status = ActorStatus::Blocked(label);
-            }
+                a.shared_cv = shared;
+                a.cv.clone()
+            });
             inner.maybe_advance(&mut st);
-            while st.gen == gen && !st.poisoned {
-                inner.cv.wait(&mut st);
+            while !st.poisoned && !self.info(&mut st).is_some_and(|a| a.woken) {
+                match &cv {
+                    Some(cv) if !shared => cv.wait(&mut st),
+                    _ => inner.cv.wait(&mut st),
+                }
             }
-            st.recheck_pending = st.recheck_pending.saturating_sub(1);
+            for k in keys.iter().filter(|k| k.0.owner.is_none()) {
+                if let Some(ids) = st.waiters.get_mut(&k.id()) {
+                    ids.retain(|&a| a != self.id);
+                    if ids.is_empty() {
+                        st.waiters.remove(&k.id());
+                    }
+                }
+            }
+            let woken = self.info(&mut st).is_some_and(|a| {
+                audit = a.audit;
+                a.audit = false;
+                a.status = ActorStatus::Running;
+                std::mem::replace(&mut a.woken, false)
+            });
+            if woken {
+                st.recheck_pending -= 1;
+            }
             st.blocked -= 1;
             st.runnable += 1;
-            if let Some(a) = st.actors.get_mut(&self.id) {
-                a.status = ActorStatus::Running;
-            }
             SimClock::check_poison(&st);
         }
     }
@@ -547,14 +961,17 @@ impl Drop for Actor {
         if let Some(info) = st.actors.remove(&self.id) {
             match info.status {
                 ActorStatus::Running => st.runnable -= 1,
-                ActorStatus::Blocked(_) => st.blocked -= 1,
+                ActorStatus::Blocked(_) => {
+                    st.blocked -= 1;
+                    if info.woken {
+                        st.recheck_pending -= 1;
+                    }
+                }
                 ActorStatus::Sleeping(_) => {}
             }
         }
         if std::thread::panicking() {
-            st.poisoned = true;
-            st.gen += 1;
-            inner.cv.notify_all();
+            inner.poison(&mut st);
         } else if !st.poisoned {
             inner.maybe_advance(&mut st);
         }
@@ -671,13 +1088,148 @@ mod tests {
     fn stale_alarm_does_not_drag_final_time() {
         // An alarm scheduled for a wake-up that turned out unnecessary
         // (e.g. a timeout satisfied early) must not push virtual time
-        // forward once every actor has finished its work.
+        // forward once every actor has finished its work — keyed or not.
         let c = SimClock::new();
         let a = c.register("worker");
         c.schedule_alarm(1_000_000_000);
+        c.schedule_alarm_for(2_000_000_000, &WaitKey::new());
         a.advance_ns(500);
         drop(a);
         assert_eq!(c.now_ns(), 500);
+    }
+
+    #[test]
+    fn keyed_alarm_without_listener_lets_the_clock_advance() {
+        // A keyed alarm fires at 100 while the only blocked actor waits on
+        // another key: nobody listens, so the clock must go on to the
+        // sleeper at 500 by itself — which then unblocks the waiter.
+        let c = SimClock::new();
+        let m = Arc::new(crate::Monitor::new(c.clone(), false));
+        let waiter = c.register("waiter");
+        let setter = c.register("setter");
+        c.schedule_alarm_for(100, &WaitKey::new());
+        let m2 = m.clone();
+        let t = thread::spawn(move || {
+            setter.advance_ns(500);
+            m2.with(|f| *f = true);
+        });
+        m.wait(&waiter, |f| f.then_some(()));
+        assert_eq!(waiter.now_ns(), 500);
+        assert!(t.join().is_ok(), "worker thread panicked");
+        assert_eq!(c.fallback_wakes(), 0);
+    }
+
+    #[test]
+    fn unrelated_key_does_not_wake_a_keyed_waiter() {
+        let c = SimClock::new();
+        let mine = Arc::new(crate::Monitor::new(c.clone(), 0u32));
+        let other = Arc::new(crate::Monitor::new(c.clone(), 0u32));
+        let waiter = c.register("waiter");
+        let writer = c.register("writer");
+        let (m, o) = (mine.clone(), other.clone());
+        let t = thread::spawn(move || {
+            // Step past t=0 first, so the waiter is parked before any
+            // write happens.
+            writer.advance_ns(10);
+            for _ in 0..5 {
+                o.with(|v| *v += 1);
+            }
+            writer.advance_ns(10);
+            m.with(|v| *v = 7);
+        });
+        let got = mine.wait(&waiter, |v| (*v != 0).then_some(*v));
+        assert_eq!((got, waiter.now_ns()), (7, 20));
+        assert!(t.join().is_ok(), "worker thread panicked");
+        // Exactly one release: the write to `mine`. The five writes to
+        // `other` reached no waiter.
+        assert_eq!(c.keyed_wakes(), 1);
+        assert_eq!(c.fallback_wakes(), 0);
+    }
+
+    #[test]
+    fn notify_between_evaluation_and_blocking_is_not_lost() {
+        // The write lands after the waiter's predicate read the monitor
+        // but before the waiter blocks. It must re-evaluate instead of
+        // sleeping through the change (a lost wake-up would deadlock:
+        // nothing else ever notifies).
+        let c = SimClock::new();
+        let m = Arc::new(crate::Monitor::new(c.clone(), None::<u32>));
+        let a = c.register("waiter");
+        let (go_tx, go_rx) = std::sync::mpsc::channel::<()>();
+        let (done_tx, done_rx) = std::sync::mpsc::channel::<()>();
+        let m2 = m.clone();
+        let writer = thread::spawn(move || {
+            assert!(go_rx.recv().is_ok(), "waiter signals");
+            m2.with(|v| *v = Some(5));
+            assert!(done_tx.send(()).is_ok(), "waiter listens");
+        });
+        let mut first = true;
+        let got = a.wait_until(|| {
+            let v = m.peek(|v| *v);
+            if std::mem::take(&mut first) {
+                assert!(go_tx.send(()).is_ok(), "writer listens");
+                assert!(done_rx.recv().is_ok(), "writer signals");
+            }
+            v
+        });
+        assert_eq!(got, 5);
+        assert!(writer.join().is_ok(), "writer thread panicked");
+    }
+
+    #[test]
+    fn keyless_predicate_wakes_on_the_fallback_notify() {
+        // The token-ring pattern: state behind a raw lock (no wait key),
+        // announced with the unkeyed `notify`.
+        let c = SimClock::new();
+        let turn = Arc::new(Mutex::new(0usize));
+        let n = 4;
+        let actors: Vec<_> = (0..n).map(|i| c.register(format!("ring{i}"))).collect();
+        let h: Vec<_> = actors
+            .into_iter()
+            .enumerate()
+            .map(|(me, a)| {
+                let turn = turn.clone();
+                thread::spawn(move || {
+                    for lap in 0..3 {
+                        let mine = lap * n + me;
+                        a.wait_until(|| (*turn.lock() == mine).then_some(()));
+                        a.advance_ns(1);
+                        *turn.lock() = mine + 1;
+                        a.clock().notify();
+                    }
+                })
+            })
+            .collect();
+        for t in h {
+            assert!(t.join().is_ok(), "ring actor panicked");
+        }
+        assert_eq!(c.now_ns(), 12);
+        assert!(c.fallback_wakes() > 0);
+    }
+
+    #[test]
+    fn grants_run_at_the_alarm_instant_before_anyone_resumes() {
+        struct Counter {
+            slot: crate::Monitor<Option<SimNs>>,
+        }
+        impl Arbiter for Counter {
+            fn grant(&self, now: SimNs) {
+                self.slot.with(|s| *s = Some(now));
+            }
+        }
+        let c = SimClock::new();
+        let g = Arc::new(Counter {
+            slot: crate::Monitor::new(c.clone(), None),
+        });
+        let a = c.register("poster");
+        c.schedule_grant(41, g.clone());
+        // A sleeper due at the grant instant already sees the grant.
+        a.advance_ns(41);
+        assert_eq!(g.slot.peek(|s| *s), Some(41));
+        // A blocked reader of the arbiter's state is woken by it.
+        c.schedule_grant(90, g.clone());
+        let at = g.slot.wait(&a, |s| s.filter(|&t| t == 90));
+        assert_eq!((at, a.now_ns()), (90, 90));
     }
 
     #[test]

@@ -20,10 +20,23 @@
 //!
 //! ## Contract
 //!
-//! Any mutation of state that another actor may be blocked on **must** be
-//! followed by [`SimClock::notify`]. The synchronization primitives in
-//! [`sync`] ([`Monitor`], [`SimChannel`], [`SimBarrier`]) uphold this
-//! automatically; use them instead of raw locks for cross-actor state.
+//! Cross-actor state changes go through a **keyed** primitive. Every
+//! [`Monitor`] (and so [`SimChannel`], [`SimBarrier`], and everything
+//! built on them) owns a [`WaitKey`]: reading it inside a wait predicate
+//! records the key, mutating it notifies the key, and only the actors
+//! whose predicates read that key re-evaluate. Use these primitives
+//! instead of raw locks for any state another actor may wait on.
+//!
+//! A predicate that depends on *virtual time* must be paired with an
+//! alarm for a key it reads ([`SimClock::schedule_alarm_for`], often with
+//! the waiting actor's own [`Actor::key`]) at the instant its answer can
+//! change. Deferred arbiters ([`Arbiter`]) are granted by the clock itself
+//! ([`SimClock::schedule_grant`]).
+//!
+//! The unkeyed [`SimClock::notify`] / [`SimClock::schedule_alarm`] remain
+//! as a fallback that wakes every blocked actor — correct for state
+//! behind a raw lock, but O(world) per change. Debug builds audit the
+//! contract at every instant and panic on a missed wake-up.
 //!
 //! ## Example
 //!
@@ -50,7 +63,7 @@ pub mod sched;
 pub mod sync;
 pub mod trace;
 
-pub use clock::{Actor, ActorStatus, SimClock};
+pub use clock::{Actor, ActorStatus, Arbiter, SimClock, WaitKey};
 pub use progress::{Completion, CompletionState};
 pub use rng::XorShift64;
 pub use sched::{on_pool_worker, ExecMode, MachineHandle, MachineStep, SimActor};

@@ -49,6 +49,7 @@ impl<T: ?Sized> Mutex<T> {
     pub fn lock(&self) -> MutexGuard<'_, T> {
         MutexGuard {
             inner: Some(self.inner.lock().unwrap_or_else(|e| e.into_inner())),
+            lock: &self.inner,
         }
     }
 
@@ -57,9 +58,13 @@ impl<T: ?Sized> Mutex<T> {
     /// [`Mutex::lock`].
     pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
         match self.inner.try_lock() {
-            Ok(g) => Some(MutexGuard { inner: Some(g) }),
+            Ok(g) => Some(MutexGuard {
+                inner: Some(g),
+                lock: &self.inner,
+            }),
             Err(std::sync::TryLockError::Poisoned(e)) => Some(MutexGuard {
                 inner: Some(e.into_inner()),
+                lock: &self.inner,
             }),
             Err(std::sync::TryLockError::WouldBlock) => None,
         }
@@ -78,6 +83,18 @@ impl<T: ?Sized> Mutex<T> {
 /// `parking_lot`'s wait-through-reference API.
 pub struct MutexGuard<'a, T: ?Sized> {
     inner: Option<std::sync::MutexGuard<'a, T>>,
+    lock: &'a std::sync::Mutex<T>,
+}
+
+impl<T: ?Sized> MutexGuard<'_, T> {
+    /// Release the lock for the duration of `f`, then re-acquire it
+    /// through the same guard (the caller keeps its `&mut` borrow).
+    pub fn unlocked<R>(&mut self, f: impl FnOnce() -> R) -> R {
+        drop(self.inner.take());
+        let r = f();
+        self.inner = Some(self.lock.lock().unwrap_or_else(|e| e.into_inner()));
+        r
+    }
 }
 
 impl<T: ?Sized> Deref for MutexGuard<'_, T> {

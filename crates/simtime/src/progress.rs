@@ -12,11 +12,12 @@
 //! * [`Completion::poll`] must never block and must never advance the
 //!   clock; it may consult shared state (`Monitor::peek`/`try_now`).
 //! * A `Pending` result must be accompanied by *some* future wake-up: an
-//!   alarm already scheduled (e.g. a message's arrival), or a state
-//!   mutation that will go through [`crate::Monitor::with`] and therefore
-//!   [`crate::SimClock::notify`]. [`Completion::wake_hint`] exposes the
-//!   known instant when there is one, so pollers can park on an alarm
-//!   instead of spinning.
+//!   alarm already scheduled for a key the poll read (e.g. a message's
+//!   arrival), or a state mutation that will go through
+//!   [`crate::Monitor::with`] and therefore wake the poll's readers.
+//!   [`Completion::wake_hint`] exposes the known instant when there is
+//!   one, so pollers can park on an alarm of their own instead of
+//!   spinning.
 
 use crate::{Actor, SimNs};
 
@@ -71,8 +72,9 @@ pub trait Completion {
     }
 }
 
-/// Block `actor` until `c` settles, waking on clock notifies and on the
-/// completion's own [`Completion::wake_hint`] alarms. The blocking
+/// Block `actor` until `c` settles, waking on notifies of the keys its
+/// poll reads and on the completion's own [`Completion::wake_hint`]
+/// alarms, which are keyed to `actor`. The blocking
 /// convenience over the poll-based contract — engines use [`Completion::poll`]
 /// directly and never call this on a data path.
 pub fn block_on(actor: &Actor, c: &dyn Completion) -> CompletionState {
@@ -84,7 +86,7 @@ pub fn block_on(actor: &Actor, c: &dyn Completion) -> CompletionState {
             return Some(st);
         }
         if let Some(at) = c.wake_hint(now) {
-            clock.schedule_alarm(at);
+            clock.schedule_alarm_for(at, actor.key());
         }
         None
     })

@@ -5,8 +5,8 @@
 //! Long-lived *service* actors (the clMPI progress engine, the OpenCL
 //! queue executors) used to each own an OS thread parked in one big
 //! predicate wait. That is faithful but tops out at a few hundred actors:
-//! every clock notification wakes every thread, and a 1,024-rank world
-//! needs thousands of threads doing nothing but re-evaluating predicates.
+//! a 1,024-rank world needs thousands of mostly idle threads, each one a
+//! separate wake-up for the kernel to schedule.
 //!
 //! This module turns those actors into **resumable state machines**: a
 //! [`SimActor`] exposes an explicit [`SimActor::poll`]/[`SimActor::on_wake`]
@@ -44,7 +44,7 @@
 use std::cell::Cell;
 use std::thread::JoinHandle;
 
-use crate::clock::{Actor, SimClock};
+use crate::clock::{Actor, SimClock, WaitKey};
 use crate::plock::Mutex;
 use crate::SimNs;
 
@@ -161,6 +161,8 @@ impl Slot {
 /// machine finished. Shared verbatim between the thread-mode runner and
 /// the shard workers — this function *is* the mode-equivalence argument.
 fn step_slot(slot: &mut Slot, now: SimNs, actor: &Actor, clock: &SimClock) -> bool {
+    // Wake hints are the executing actor's own timers: keyed to it, so
+    // they wake this runner (or shard worker) and nobody else.
     let due = slot.alarms.iter().any(|&t| t <= now);
     slot.alarms.retain(|&t| t > now);
     let step = if due {
@@ -174,7 +176,7 @@ fn step_slot(slot: &mut Slot, now: SimNs, actor: &Actor, clock: &SimClock) -> bo
             if let Some(t) = hint {
                 debug_assert!(t > now, "machines must progress, not park, when due");
                 if t > now && !slot.alarms.contains(&t) {
-                    clock.schedule_alarm(t);
+                    clock.schedule_alarm_for(t, actor.key());
                     slot.alarms.push(t);
                 }
             }
@@ -215,6 +217,8 @@ pub(crate) struct ShardState {
 /// reach it through their own `SimClock` clones.
 pub(crate) struct SchedPool {
     pub(crate) shards: Vec<Mutex<ShardState>>,
+    /// Per-shard wake key: read by the worker's pass, notified by spawns.
+    pub(crate) keys: Vec<WaitKey>,
 }
 
 impl SchedPool {
@@ -223,6 +227,7 @@ impl SchedPool {
             shards: (0..shards)
                 .map(|_| Mutex::new(ShardState::default()))
                 .collect(),
+            keys: (0..shards).map(|_| WaitKey::new()).collect(),
         }
     }
 }
@@ -235,6 +240,7 @@ impl SchedPool {
 pub(crate) fn shard_worker(actor: Actor, clock: SimClock, shard: usize) {
     ON_POOL_WORKER.with(|f| f.set(true));
     actor.wait_until_labeled("sched shard", || {
+        clock.shard_key(shard).record();
         let mut st = clock.shard(shard).lock();
         let now = clock.now_ns();
         // Adopt machines spawned since the last pass. They are polled at
@@ -250,11 +256,13 @@ pub(crate) fn shard_worker(actor: Actor, clock: SimClock, shard: usize) {
                 i += 1;
             }
         }
-        // Machines progressing mid-pass notify the clock themselves
-        // (monitor mutations bump `gen`), which makes the surrounding
-        // `wait_until` re-evaluate this predicate — that re-pass, not an
-        // inner loop, is what drives same-instant cross-machine chains,
-        // exactly as notify does for separate threads in oracle mode.
+        // The pass's read set is the union of every resident machine's
+        // reads. Machines progressing mid-pass notify the keys they
+        // change, which makes the surrounding `wait_until` re-evaluate
+        // this predicate when the pass itself read one of them — that
+        // re-pass, not an inner loop, is what drives same-instant
+        // cross-machine chains, exactly as keyed notifies do for separate
+        // threads in oracle mode.
         if st.resident.is_empty() && st.incoming.is_empty() {
             st.running = false;
             return Some(());

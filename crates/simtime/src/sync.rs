@@ -1,24 +1,29 @@
 //! Clock-aware synchronization primitives.
 //!
-//! These wrap shared state so that every mutation notifies the clock
-//! (upholding the crate-level contract) and every wait participates in
+//! These wrap shared state so that every mutation notifies the state's
+//! wait key (upholding the crate-level contract), every read inside a wait
+//! predicate records that key, and every wait participates in
 //! virtual-time accounting instead of holding the clock hostage.
 
 use crate::plock::Mutex;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use crate::{Actor, SimClock};
+use crate::{Actor, SimClock, WaitKey};
 
-/// A monitor: shared mutable state whose mutations wake blocked actors.
+/// A monitor: shared mutable state whose mutations wake the actors
+/// blocked on it.
 ///
 /// `Monitor<T>` is the building block for everything cross-actor in this
 /// workspace (mailboxes, event statuses, link timelines). Use
 /// [`Monitor::with`] for mutations, [`Monitor::peek`] for pure reads, and
 /// [`Monitor::wait`] to block an actor until the state satisfies a
-/// predicate.
+/// predicate. Each monitor owns a [`WaitKey`]: any access from inside a
+/// wait predicate records it, and every mutation notifies it, so exactly
+/// the waiters that read this monitor re-evaluate.
 pub struct Monitor<T> {
     clock: SimClock,
+    key: WaitKey,
     state: Mutex<T>,
 }
 
@@ -27,6 +32,7 @@ impl<T> Monitor<T> {
     pub fn new(clock: SimClock, value: T) -> Self {
         Monitor {
             clock,
+            key: WaitKey::new(),
             state: Mutex::new(value),
         }
     }
@@ -36,26 +42,31 @@ impl<T> Monitor<T> {
         &self.clock
     }
 
-    /// Mutate the state and wake every blocked actor to re-evaluate.
+    /// This monitor's wait key (for alarms that concern its state, e.g. a
+    /// message becoming visible at a future instant).
+    pub fn key(&self) -> &WaitKey {
+        &self.key
+    }
+
+    /// Mutate the state and wake the actors blocked on it.
     pub fn with<R>(&self, f: impl FnOnce(&mut T) -> R) -> R {
+        self.key.record();
         let r = f(&mut self.state.lock());
-        self.clock.notify();
+        self.clock.notify_key(&self.key);
         r
     }
 
     /// Read the state without notifying (must not mutate observable state).
     pub fn peek<R>(&self, f: impl FnOnce(&T) -> R) -> R {
+        self.key.record();
         f(&self.state.lock())
     }
 
     /// Block `actor` until `f` returns `Some`. `f` may mutate the state
     /// when it succeeds (e.g. pop a queue entry); other actors are notified
     /// after a successful return, since the state changed.
-    pub fn wait<R>(&self, actor: &Actor, mut f: impl FnMut(&mut T) -> Option<R>) -> R {
-        let r = actor.wait_until_labeled("monitor", || f(&mut self.state.lock()));
-        // The successful predicate may have mutated state others wait on.
-        self.clock.notify();
-        r
+    pub fn wait<R>(&self, actor: &Actor, f: impl FnMut(&mut T) -> Option<R>) -> R {
+        self.wait_labeled(actor, "monitor", f)
     }
 
     /// Like [`Monitor::wait`] with a diagnostic label for deadlock reports.
@@ -65,16 +76,21 @@ impl<T> Monitor<T> {
         label: &'static str,
         mut f: impl FnMut(&mut T) -> Option<R>,
     ) -> R {
-        let r = actor.wait_until_labeled(label, || f(&mut self.state.lock()));
-        self.clock.notify();
+        let r = actor.wait_until_labeled(label, || {
+            self.key.record();
+            f(&mut self.state.lock())
+        });
+        // The successful predicate may have mutated state others wait on.
+        self.clock.notify_key(&self.key);
         r
     }
 
     /// Try the predicate once without blocking.
     pub fn try_now<R>(&self, mut f: impl FnMut(&mut T) -> Option<R>) -> Option<R> {
+        self.key.record();
         let r = f(&mut self.state.lock());
         if r.is_some() {
-            self.clock.notify();
+            self.clock.notify_key(&self.key);
         }
         r
     }
