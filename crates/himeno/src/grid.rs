@@ -110,6 +110,11 @@ pub fn init_planes(size: GridSize, lo: usize, hi: usize) -> Vec<f32> {
     p
 }
 
+/// Points of one `k`-row that [`jacobi_sweep`] updates before it folds
+/// their residuals: the squared residuals wait in a stack array of this
+/// length between the two passes.
+const ROW_BLOCK: usize = 64;
+
 /// One Jacobi sweep over planes `i_lo..i_hi` (local indices, interior
 /// only) of a slab shaped `(planes, mjmax, mkmax)`: reads `old`, writes
 /// `new` for those planes, and returns the partial `gosa`.
@@ -120,7 +125,76 @@ pub fn init_planes(size: GridSize, lo: usize, hi: usize) -> Vec<f32> {
 /// avoiding 11 all-constant array streams in host memory. The *device
 /// time* model still charges the full array traffic via
 /// [`BYTES_PER_POINT`].
+///
+/// # Bit-exactness contract
+///
+/// Every `new` value and every bit of the returned `gosa` are a pure
+/// function of `old` and the range, fixed by three rules that any
+/// rewrite of this kernel must keep (committed artifacts pin the
+/// result: see DESIGN.md §8):
+///
+/// * **Per-point expression order.** Each point evaluates, in `f32`,
+///   `s0 = p[i+1] + p[j+1] + p[k+1] + p[i-1] + p[j-1] + p[k-1]` left to
+///   right, then `ss = s0 * (1/6) - p`, then `new = p + OMEGA * ss`, and
+///   its residual term is `ss * ss` rounded to `f32`.
+/// * **In-order `f64` fold.** The residual terms are widened to `f64`
+///   and added into one accumulator one at a time, in ascending `i`,
+///   then `j`, then `k` order. No partial sums, no reassociation.
+/// * **No fused multiply-add.** Every product is rounded before the
+///   following add (Rust never contracts `a * b + c`; `mul_add` would).
+///
+/// Within those rules each `k`-row runs in two passes over blocks of at
+/// most `ROW_BLOCK` points: an update pass over plain slices (no
+/// cross-point dependence, so the optimiser vectorises it) writes `new`
+/// and stages each `ss * ss` on the stack, then a scalar pass folds the
+/// staged terms into `gosa` in ascending `k`.
 pub fn jacobi_sweep(
+    old: &[f32],
+    new: &mut [f32],
+    mj: usize,
+    mk: usize,
+    i_lo: usize,
+    i_hi: usize,
+) -> f64 {
+    const A3: f32 = 1.0 / 6.0;
+    let plane = mj * mk;
+    let mut sq = [0.0f32; ROW_BLOCK];
+    let mut gosa = 0.0f64;
+    for i in i_lo..i_hi {
+        for j in 1..mj - 1 {
+            let mut k = 1;
+            while k < mk - 1 {
+                let n = ROW_BLOCK.min(mk - 1 - k);
+                let c = i * plane + j * mk + k;
+                let p = &old[c..c + n];
+                let ip = &old[c + plane..c + plane + n]; // a0 * p[i+1][j][k]
+                let jp = &old[c + mk..c + mk + n]; // a1 * p[i][j+1][k]
+                let kp = &old[c + 1..c + 1 + n]; // a2 * p[i][j][k+1]
+                let im = &old[c - plane..c - plane + n]; // c0 * p[i-1][j][k]
+                let jm = &old[c - mk..c - mk + n]; // c1 * p[i][j-1][k]
+                let km = &old[c - 1..c - 1 + n]; // c2 * p[i][j][k-1]
+                let out = &mut new[c..c + n];
+                let sq = &mut sq[..n];
+                for x in 0..n {
+                    let s0 = ip[x] + jp[x] + kp[x] + im[x] + jm[x] + km[x];
+                    let ss = s0 * A3 - p[x]; // (s0*a3 - p) * bnd
+                    sq[x] = ss * ss;
+                    out[x] = p[x] + OMEGA * ss;
+                }
+                for &s in sq.iter() {
+                    gosa += s as f64;
+                }
+                k += n;
+            }
+        }
+    }
+    gosa
+}
+
+/// The one-point-at-a-time kernel [`jacobi_sweep`] replaced, kept as the
+/// oracle its bit-exactness tests compare against.
+#[cfg(test)]
+fn jacobi_sweep_scalar(
     old: &[f32],
     new: &mut [f32],
     mj: usize,
@@ -244,5 +318,41 @@ mod tests {
         assert_eq!(new[1], g.p[1]); // j=0 row copied
         assert_eq!(new[(2 * mj) * mk + 3], g.p[(2 * mj) * mk + 3]);
         assert_eq!(new[(2 * mj + 2) * mk + 2], 0.0, "interior not copied");
+    }
+
+    /// A field of random magnitudes and signs, so rounding differs from
+    /// point to point.
+    fn random_field(rng: &mut simtime::XorShift64, len: usize) -> Vec<f32> {
+        (0..len)
+            .map(|_| {
+                let scale = (rng.gen_range_u64(0, 16) as i32 - 8) as f32;
+                (rng.next_f32() * 2.0 - 1.0) * scale.exp2()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn sweep_is_bit_exact_against_scalar_oracle() {
+        const PLANES: usize = 5;
+        let mut rng = simtime::XorShift64::new(0x5eed_1e7a);
+        let b = ROW_BLOCK;
+        for mk in [3, 4, 5, b + 1, b + 2, b + 3, 257] {
+            for mj in [3, 4, 9, 129] {
+                let len = PLANES * mj * mk;
+                let old = random_field(&mut rng, len);
+                let init = random_field(&mut rng, len);
+                for i_lo in 1..PLANES {
+                    for i_hi in i_lo..PLANES {
+                        let (mut want, mut got) = (init.clone(), init.clone());
+                        let g_want = jacobi_sweep_scalar(&old, &mut want, mj, mk, i_lo, i_hi);
+                        let g_got = jacobi_sweep(&old, &mut got, mj, mk, i_lo, i_hi);
+                        let case = format!("mj={mj} mk={mk} planes {i_lo}..{i_hi}");
+                        assert_eq!(g_got.to_bits(), g_want.to_bits(), "gosa, {case}");
+                        let diff = (0..len).find(|&c| got[c].to_bits() != want[c].to_bits());
+                        assert_eq!(diff, None, "first differing point of new, {case}");
+                    }
+                }
+            }
+        }
     }
 }
