@@ -10,7 +10,6 @@
 //! performance-portability argument, §IV advantage 1).
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 use simtime::plock::Mutex;
 use simtime::SimNs;
@@ -25,27 +24,191 @@ fn size_class(size: usize) -> u32 {
     (usize::BITS - size.max(1).leading_zeros()).max(1)
 }
 
-#[derive(Default)]
-struct ClassState {
-    /// Strategies not yet probed for this class.
-    pending: Vec<TransferStrategy>,
-    /// (strategy, observed ns) of finished probes.
-    observed: Vec<(TransferStrategy, SimNs)>,
-    /// Strategies whose probe failed permanently (retired from rotation).
-    failed: Vec<TransferStrategy>,
-    /// Chosen winner once probing is done.
-    winner: Option<TransferStrategy>,
+/// What a [`Tuner`] keys its measurements on. Every key maps to a class;
+/// keys of one class share one probe rotation and one winner.
+pub trait TuneKey: Copy {
+    /// The bucket measurements are kept per.
+    type Class: Ord + Copy;
+    /// This key's bucket.
+    fn class(self) -> Self::Class;
 }
 
-/// An online per-size-class strategy tuner.
+/// A two-sided transfer, keyed by its size in bytes (bucketed by power
+/// of two).
+impl TuneKey for usize {
+    type Class = u32;
+    fn class(self) -> u32 {
+        size_class(self)
+    }
+}
+
+/// A one-sided transfer, keyed by **(peer rank, size in bytes)**: the win
+/// of the RMA path depends on whether the peer shares a CXL pool, so each
+/// peer tunes independently.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PeerKey(pub usize, pub usize);
+
+impl TuneKey for PeerKey {
+    type Class = (usize, u32);
+    fn class(self) -> (usize, u32) {
+        (self.0, size_class(self.1))
+    }
+}
+
+/// A collective, keyed by **(size in bytes, world size)**: a tree that
+/// wins at 4 ranks may lose at 13, so world sizes tune independently.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CollKey(pub usize, pub usize);
+
+impl TuneKey for CollKey {
+    type Class = (u32, usize);
+    fn class(self) -> (u32, usize) {
+        (size_class(self.0), self.1)
+    }
+}
+
+/// A point a [`Tuner`] can probe.
+pub trait Candidate: Copy + PartialEq {
+    /// Panic if the tuner cannot run this candidate.
+    fn check(&self);
+}
+
+impl Candidate for TransferStrategy {
+    fn check(&self) {
+        assert!(
+            *self != TransferStrategy::Auto,
+            "candidates must be concrete"
+        );
+    }
+}
+
+impl Candidate for CollTuning {
+    fn check(&self) {
+        assert!(self.chunk > 0, "candidate chunks must be ≥ 1");
+    }
+}
+
+struct ClassState<C> {
+    /// Candidates not yet probed for this class.
+    pending: Vec<C>,
+    /// (candidate, observed ns) of finished probes.
+    observed: Vec<(C, SimNs)>,
+    /// Candidates whose probe failed permanently (retired from rotation).
+    failed: Vec<C>,
+    /// Chosen winner once probing is done.
+    winner: Option<C>,
+}
+
+/// An online per-class tuner: the one probe / observe / retire-on-failure
+/// / all-fail-fallback implementation behind every selector.
 ///
-/// `choose(size)` returns the strategy to use now; `observe(size,
-/// strategy, ns)` feeds back the measured duration. During the probe
-/// phase each candidate runs once (in rotation); afterwards the winner is
-/// locked in for that class.
-pub struct AdaptiveSelector {
-    candidates: Vec<TransferStrategy>,
-    classes: Arc<Mutex<BTreeMap<u32, ClassState>>>,
+/// `choose(key)` returns the candidate to use now; `observe(key,
+/// candidate, ns)` feeds back the measured duration. During the probe
+/// phase each candidate runs once (in rotation); afterwards the fastest
+/// is locked in for that class.
+pub struct Tuner<K: TuneKey, C> {
+    candidates: Vec<C>,
+    classes: Mutex<BTreeMap<K::Class, ClassState<C>>>,
+}
+
+/// The two-sided transfer tuner, keyed by size class.
+pub type AdaptiveSelector = Tuner<usize, TransferStrategy>;
+
+/// The one-sided tuner over the wire route of a window put, keyed by
+/// [`PeerKey`]. A co-located peer's 1 MiB class locks `Rma` (the pool
+/// port at 28 GB/s dwarfs the NIC); a cross-pod peer's class locks a
+/// NIC-side strategy.
+pub type PeerSelector = Tuner<PeerKey, TransferStrategy>;
+
+/// The collective tuner over [`CollTuning`] (algorithm × pipeline chunk)
+/// candidates, keyed by [`CollKey`].
+pub type CollectiveSelector = Tuner<CollKey, CollTuning>;
+
+impl<K: TuneKey, C: Candidate> Tuner<K, C> {
+    /// Tuner over an explicit candidate set; the first candidate is the
+    /// all-fail fallback.
+    pub fn with_candidates(candidates: Vec<C>) -> Self {
+        assert!(!candidates.is_empty(), "need at least one candidate");
+        candidates.iter().for_each(C::check);
+        Tuner {
+            candidates,
+            classes: Mutex::new(BTreeMap::new()),
+        }
+    }
+
+    /// The candidate to use for `key`.
+    pub fn choose(&self, key: K) -> C {
+        let mut st = self.classes.lock();
+        let cs = st.entry(key.class()).or_insert_with(|| ClassState {
+            pending: self.candidates.clone(),
+            observed: Vec::new(),
+            failed: Vec::new(),
+            winner: None,
+        });
+        if let Some(w) = cs.winner {
+            return w;
+        }
+        // Probe phase: hand out the next unprobed candidate (it stays in
+        // `pending` until its observation arrives, so concurrent chooses
+        // of the same class re-probe rather than starve).
+        cs.pending.first().copied().unwrap_or(self.candidates[0])
+    }
+
+    /// Feed back a measured duration.
+    pub fn observe(&self, key: K, candidate: C, dur_ns: SimNs) {
+        self.retire(key, candidate, Some(dur_ns));
+    }
+
+    /// Feed back a permanent probe failure (retry budget exhausted,
+    /// receiver timeout, dead peer). The candidate is retired from the
+    /// class's probe rotation — without this, a failed probe never
+    /// reaches [`Tuner::observe`], so it stays pending forever and
+    /// `choose` re-hands the failing candidate indefinitely (probe
+    /// starvation). If *every* candidate fails, the class falls back to
+    /// the first candidate as its winner so callers still get a
+    /// deterministic answer instead of an endless probe loop.
+    pub fn observe_failure(&self, key: K, candidate: C) {
+        self.retire(key, candidate, None);
+    }
+
+    /// Take `candidate` out of its class's rotation, measured or failed;
+    /// lock the winner once the rotation is empty. Unsolicited
+    /// candidates and feedback after the lock are ignored.
+    fn retire(&self, key: K, candidate: C, measured: Option<SimNs>) {
+        let mut st = self.classes.lock();
+        let Some(cs) = st.get_mut(&key.class()) else {
+            return;
+        };
+        if cs.winner.is_some() {
+            return;
+        }
+        if let Some(pos) = cs.pending.iter().position(|&c| c == candidate) {
+            cs.pending.remove(pos);
+            match measured {
+                Some(ns) => cs.observed.push((candidate, ns)),
+                None => cs.failed.push(candidate),
+            }
+        }
+        if cs.pending.is_empty() {
+            let fastest = cs.observed.iter().min_by_key(|(_, ns)| *ns).map(|o| o.0);
+            cs.winner = Some(fastest.unwrap_or(self.candidates[0]));
+        }
+    }
+
+    /// Candidates retired by [`Tuner::observe_failure`] for `key`'s class
+    /// (diagnostics and tests).
+    pub fn failures_for(&self, key: K) -> Vec<C> {
+        self.classes
+            .lock()
+            .get(&key.class())
+            .map(|c| c.failed.clone())
+            .unwrap_or_default()
+    }
+
+    /// The locked-in winner for `key`'s class, if probing finished.
+    pub fn winner_for(&self, key: K) -> Option<C> {
+        self.classes.lock().get(&key.class()).and_then(|c| c.winner)
+    }
 }
 
 impl AdaptiveSelector {
@@ -58,122 +221,6 @@ impl AdaptiveSelector {
             TransferStrategy::Pipelined(sys.default_pipeline_block),
         ])
     }
-
-    /// Tuner over an explicit candidate set (must be concrete strategies).
-    pub fn with_candidates(candidates: Vec<TransferStrategy>) -> Self {
-        assert!(!candidates.is_empty(), "need at least one candidate");
-        assert!(
-            !candidates.contains(&TransferStrategy::Auto),
-            "candidates must be concrete"
-        );
-        AdaptiveSelector {
-            candidates,
-            classes: Arc::new(Mutex::new(BTreeMap::new())),
-        }
-    }
-
-    /// The strategy to use for a transfer of `size` bytes.
-    pub fn choose(&self, size: usize) -> TransferStrategy {
-        let class = size_class(size);
-        let mut st = self.classes.lock();
-        let cs = st.entry(class).or_insert_with(|| ClassState {
-            pending: self.candidates.clone(),
-            ..Default::default()
-        });
-        if let Some(w) = cs.winner {
-            return w;
-        }
-        // Probe phase: hand out the next unprobed candidate (it stays in
-        // `pending` until its observation arrives, so concurrent chooses
-        // of the same class re-probe rather than starve).
-        cs.pending
-            .first()
-            .copied()
-            .unwrap_or_else(|| self.candidates[0])
-    }
-
-    /// Feed back a measured duration.
-    pub fn observe(&self, size: usize, strategy: TransferStrategy, dur_ns: SimNs) {
-        let class = size_class(size);
-        let mut st = self.classes.lock();
-        let Some(cs) = st.get_mut(&class) else { return };
-        if cs.winner.is_some() {
-            return;
-        }
-        if let Some(pos) = cs.pending.iter().position(|&s| s == strategy) {
-            cs.pending.remove(pos);
-            cs.observed.push((strategy, dur_ns));
-        }
-        if cs.pending.is_empty() {
-            cs.winner = cs
-                .observed
-                .iter()
-                .min_by_key(|(_, ns)| *ns)
-                .map(|(s, _)| *s);
-        }
-    }
-
-    /// Feed back a permanent probe failure (retry budget exhausted,
-    /// receiver timeout). The strategy is retired from the class's probe
-    /// rotation — without this, a failed probe never reaches
-    /// [`AdaptiveSelector::observe`], so it stays `pending` forever and
-    /// `choose` re-hands the failing candidate indefinitely (probe
-    /// starvation). If *every* candidate fails, the class falls back to
-    /// `candidates[0]` as its winner so callers still get a deterministic
-    /// strategy instead of an endless probe loop.
-    pub fn observe_failure(&self, size: usize, strategy: TransferStrategy) {
-        let class = size_class(size);
-        let mut st = self.classes.lock();
-        let Some(cs) = st.get_mut(&class) else { return };
-        if cs.winner.is_some() {
-            return;
-        }
-        if let Some(pos) = cs.pending.iter().position(|&s| s == strategy) {
-            cs.pending.remove(pos);
-            cs.failed.push(strategy);
-        }
-        if cs.pending.is_empty() {
-            cs.winner = cs
-                .observed
-                .iter()
-                .min_by_key(|(_, ns)| *ns)
-                .map(|(s, _)| *s)
-                // All candidates failed: pick the primary candidate rather
-                // than probing a known-bad set forever.
-                .or(Some(self.candidates[0]));
-        }
-    }
-
-    /// Strategies retired by [`AdaptiveSelector::observe_failure`] for
-    /// `size`'s class (diagnostics and tests).
-    pub fn failures_for(&self, size: usize) -> Vec<TransferStrategy> {
-        self.classes
-            .lock()
-            .get(&size_class(size))
-            .map(|c| c.failed.clone())
-            .unwrap_or_default()
-    }
-
-    /// The locked-in winner for `size`'s class, if probing finished.
-    pub fn winner_for(&self, size: usize) -> Option<TransferStrategy> {
-        self.classes
-            .lock()
-            .get(&size_class(size))
-            .and_then(|c| c.winner)
-    }
-}
-
-/// The one-sided analogue of [`AdaptiveSelector`]: a tuner over the wire
-/// route of a window put, keyed on **(peer node distance, message-size
-/// class)** — in practice keyed by the peer rank's node, since the win of
-/// the RMA path depends entirely on whether the peer shares a CXL pool.
-/// A co-located peer's 1 MiB class locks `Rma` (the pool port at 28 GB/s
-/// dwarfs the NIC); a cross-pod peer's class locks a NIC-side strategy.
-/// Probe, observe, failure-retirement and all-fail fallback semantics are
-/// identical to the transfer selector.
-pub struct PeerSelector {
-    candidates: Vec<TransferStrategy>,
-    classes: Arc<Mutex<BTreeMap<(usize, u32), ClassState>>>,
 }
 
 impl PeerSelector {
@@ -187,121 +234,6 @@ impl PeerSelector {
             TransferStrategy::Pipelined(sys.default_pipeline_block),
         ])
     }
-
-    /// Tuner over an explicit candidate set (must be concrete strategies).
-    pub fn with_candidates(candidates: Vec<TransferStrategy>) -> Self {
-        assert!(!candidates.is_empty(), "need at least one candidate");
-        assert!(
-            !candidates.contains(&TransferStrategy::Auto),
-            "candidates must be concrete"
-        );
-        PeerSelector {
-            candidates,
-            classes: Arc::new(Mutex::new(BTreeMap::new())),
-        }
-    }
-
-    /// The strategy to use for a `size`-byte one-sided transfer to `peer`.
-    pub fn choose(&self, peer: usize, size: usize) -> TransferStrategy {
-        let key = (peer, size_class(size));
-        let mut st = self.classes.lock();
-        let cs = st.entry(key).or_insert_with(|| ClassState {
-            pending: self.candidates.clone(),
-            ..Default::default()
-        });
-        if let Some(w) = cs.winner {
-            return w;
-        }
-        cs.pending
-            .first()
-            .copied()
-            .unwrap_or_else(|| self.candidates[0])
-    }
-
-    /// Feed back a measured duration for a transfer to `peer`.
-    pub fn observe(&self, peer: usize, size: usize, strategy: TransferStrategy, dur_ns: SimNs) {
-        let key = (peer, size_class(size));
-        let mut st = self.classes.lock();
-        let Some(cs) = st.get_mut(&key) else { return };
-        if cs.winner.is_some() {
-            return;
-        }
-        if let Some(pos) = cs.pending.iter().position(|&s| s == strategy) {
-            cs.pending.remove(pos);
-            cs.observed.push((strategy, dur_ns));
-        }
-        if cs.pending.is_empty() {
-            cs.winner = cs
-                .observed
-                .iter()
-                .min_by_key(|(_, ns)| *ns)
-                .map(|(s, _)| *s);
-        }
-    }
-
-    /// Feed back a permanent probe failure (retry budget exhausted or the
-    /// peer's node died). Retirement and all-fail fallback semantics match
-    /// [`AdaptiveSelector::observe_failure`].
-    pub fn observe_failure(&self, peer: usize, size: usize, strategy: TransferStrategy) {
-        let key = (peer, size_class(size));
-        let mut st = self.classes.lock();
-        let Some(cs) = st.get_mut(&key) else { return };
-        if cs.winner.is_some() {
-            return;
-        }
-        if let Some(pos) = cs.pending.iter().position(|&s| s == strategy) {
-            cs.pending.remove(pos);
-            cs.failed.push(strategy);
-        }
-        if cs.pending.is_empty() {
-            cs.winner = cs
-                .observed
-                .iter()
-                .min_by_key(|(_, ns)| *ns)
-                .map(|(s, _)| *s)
-                .or(Some(self.candidates[0]));
-        }
-    }
-
-    /// Strategies retired for `(peer, size)`'s class (diagnostics).
-    pub fn failures_for(&self, peer: usize, size: usize) -> Vec<TransferStrategy> {
-        self.classes
-            .lock()
-            .get(&(peer, size_class(size)))
-            .map(|c| c.failed.clone())
-            .unwrap_or_default()
-    }
-
-    /// The locked-in winner for `(peer, size)`'s class, if probing
-    /// finished.
-    pub fn winner_for(&self, peer: usize, size: usize) -> Option<TransferStrategy> {
-        self.classes
-            .lock()
-            .get(&(peer, size_class(size)))
-            .and_then(|c| c.winner)
-    }
-}
-
-#[derive(Default)]
-struct CollClassState {
-    pending: Vec<CollTuning>,
-    observed: Vec<(CollTuning, SimNs)>,
-    failed: Vec<CollTuning>,
-    winner: Option<CollTuning>,
-}
-
-/// The collective analogue of [`AdaptiveSelector`]: an online tuner over
-/// [`CollTuning`] (algorithm × pipeline chunk) candidates, keyed on
-/// **(message-size class, world size)** — a tree that wins at 4 ranks
-/// may lose at 13, so world sizes tune independently. Probe, observe,
-/// failure-retirement and all-fail fallback semantics are identical to
-/// the transfer selector (including the PR 4 starvation fix: a probe
-/// that fails permanently is retired via
-/// [`CollectiveSelector::observe_failure`] instead of being re-offered
-/// forever).
-pub struct CollectiveSelector {
-    candidates: Vec<CollTuning>,
-    classes: Arc<Mutex<BTreeMap<(u32, usize), CollClassState>>>,
 }
 
 impl CollectiveSelector {
@@ -309,141 +241,33 @@ impl CollectiveSelector {
     /// binomial tree, and pipelined ring, all at the system's default
     /// pipeline block.
     pub fn bcast_for_system(sys: &SystemConfig) -> Self {
-        let b = sys.default_pipeline_block;
-        Self::with_candidates(vec![
-            CollTuning {
-                algo: CollAlgo::Flat,
-                chunk: b,
-            },
-            CollTuning {
-                algo: CollAlgo::Tree,
-                chunk: b,
-            },
-            CollTuning {
-                algo: CollAlgo::Ring,
-                chunk: b,
-            },
-        ])
+        let chunk = sys.default_pipeline_block;
+        Self::with_candidates(
+            [CollAlgo::Flat, CollAlgo::Tree, CollAlgo::Ring]
+                .map(|algo| CollTuning { algo, chunk })
+                .to_vec(),
+        )
     }
 
     /// Allreduce tuner for `sys`: the topology is a fixed ring, so the
     /// candidates only vary the pipeline chunk.
     pub fn allreduce_for_system(sys: &SystemConfig) -> Self {
         let b = sys.default_pipeline_block;
-        Self::with_candidates(vec![
-            CollTuning {
-                algo: CollAlgo::Ring,
-                chunk: b,
-            },
-            CollTuning {
-                algo: CollAlgo::Ring,
-                chunk: (b / 4).max(4 << 10),
-            },
-            CollTuning {
-                algo: CollAlgo::Ring,
-                chunk: b * 4,
-            },
-        ])
-    }
-
-    /// Tuner over an explicit candidate set (chunks must be ≥ 1).
-    pub fn with_candidates(candidates: Vec<CollTuning>) -> Self {
-        assert!(!candidates.is_empty(), "need at least one candidate");
-        assert!(
-            candidates.iter().all(|c| c.chunk > 0),
-            "candidate chunks must be ≥ 1"
-        );
-        CollectiveSelector {
-            candidates,
-            classes: Arc::new(Mutex::new(BTreeMap::new())),
-        }
-    }
-
-    /// The tuning to use for a `size`-byte collective over `world` ranks.
-    pub fn choose(&self, size: usize, world: usize) -> CollTuning {
-        let key = (size_class(size), world);
-        let mut st = self.classes.lock();
-        let cs = st.entry(key).or_insert_with(|| CollClassState {
-            pending: self.candidates.clone(),
-            ..Default::default()
-        });
-        if let Some(w) = cs.winner {
-            return w;
-        }
-        cs.pending
-            .first()
-            .copied()
-            .unwrap_or_else(|| self.candidates[0])
-    }
-
-    /// Feed back a measured collective duration.
-    pub fn observe(&self, size: usize, world: usize, tuning: CollTuning, dur_ns: SimNs) {
-        let key = (size_class(size), world);
-        let mut st = self.classes.lock();
-        let Some(cs) = st.get_mut(&key) else { return };
-        if cs.winner.is_some() {
-            return;
-        }
-        if let Some(pos) = cs.pending.iter().position(|&c| c == tuning) {
-            cs.pending.remove(pos);
-            cs.observed.push((tuning, dur_ns));
-        }
-        if cs.pending.is_empty() {
-            cs.winner = cs
-                .observed
-                .iter()
-                .min_by_key(|(_, ns)| *ns)
-                .map(|(c, _)| *c);
-        }
-    }
-
-    /// Feed back a permanent probe failure: the tuning is retired from
-    /// the class's rotation; if every candidate fails the class locks
-    /// `candidates[0]` so callers still get a deterministic answer.
-    pub fn observe_failure(&self, size: usize, world: usize, tuning: CollTuning) {
-        let key = (size_class(size), world);
-        let mut st = self.classes.lock();
-        let Some(cs) = st.get_mut(&key) else { return };
-        if cs.winner.is_some() {
-            return;
-        }
-        if let Some(pos) = cs.pending.iter().position(|&c| c == tuning) {
-            cs.pending.remove(pos);
-            cs.failed.push(tuning);
-        }
-        if cs.pending.is_empty() {
-            cs.winner = cs
-                .observed
-                .iter()
-                .min_by_key(|(_, ns)| *ns)
-                .map(|(c, _)| *c)
-                .or(Some(self.candidates[0]));
-        }
-    }
-
-    /// Tunings retired by [`CollectiveSelector::observe_failure`] for
-    /// the (size, world) class.
-    pub fn failures_for(&self, size: usize, world: usize) -> Vec<CollTuning> {
-        self.classes
-            .lock()
-            .get(&(size_class(size), world))
-            .map(|c| c.failed.clone())
-            .unwrap_or_default()
-    }
-
-    /// The locked-in winner for the (size, world) class, if probing
-    /// finished.
-    pub fn winner_for(&self, size: usize, world: usize) -> Option<CollTuning> {
-        self.classes
-            .lock()
-            .get(&(size_class(size), world))
-            .and_then(|c| c.winner)
+        Self::with_candidates(
+            [b, (b / 4).max(4 << 10), b * 4]
+                .map(|chunk| CollTuning {
+                    algo: CollAlgo::Ring,
+                    chunk,
+                })
+                .to_vec(),
+        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fmt::Debug;
 
     #[test]
     fn size_classes_separate_magnitudes() {
@@ -456,46 +280,106 @@ mod tests {
         );
     }
 
-    #[test]
-    fn probes_each_candidate_then_locks_winner() {
-        let sel = AdaptiveSelector::with_candidates(vec![
-            TransferStrategy::Pinned,
-            TransferStrategy::Mapped,
-        ]);
-        let s1 = sel.choose(1 << 20);
-        assert_eq!(s1, TransferStrategy::Pinned);
-        sel.observe(1 << 20, s1, 500);
-        let s2 = sel.choose(1 << 20);
-        assert_eq!(s2, TransferStrategy::Mapped);
-        sel.observe(1 << 20, s2, 300);
-        // Mapped measured faster: locked in.
-        assert_eq!(sel.winner_for(1 << 20), Some(TransferStrategy::Mapped));
+    /// One key shape under test: two keys in different classes and two
+    /// candidates in rotation order.
+    struct Shape<K, C> {
+        key: K,
+        other: K,
+        a: C,
+        b: C,
+    }
+
+    /// The whole tuner contract, run once per key shape.
+    fn contract<K: TuneKey + Debug, C: Candidate + Debug>(s: Shape<K, C>) {
+        let two = || Tuner::<K, C>::with_candidates(vec![s.a, s.b]);
+        let one = || Tuner::<K, C>::with_candidates(vec![s.a]);
+        let key = s.key;
+        let ctx = format!("{key:?}");
+
+        // Probes each candidate once, then locks the faster one.
+        let sel = two();
+        let s1 = sel.choose(key);
+        assert_eq!(s1, s.a, "{ctx}");
+        sel.observe(key, s1, 500);
+        let s2 = sel.choose(key);
+        assert_eq!(s2, s.b, "{ctx}");
+        sel.observe(key, s2, 300);
+        assert_eq!(sel.winner_for(key), Some(s.b), "{ctx}: faster locked");
         for _ in 0..5 {
-            assert_eq!(sel.choose(1 << 20), TransferStrategy::Mapped);
+            assert_eq!(sel.choose(key), s.b, "{ctx}");
         }
+
+        // Classes tune independently.
+        let sel = two();
+        sel.observe(key, sel.choose(key), 100);
+        sel.observe(key, sel.choose(key), 50);
+        sel.observe(s.other, sel.choose(s.other), 10);
+        sel.observe(s.other, sel.choose(s.other), 20);
+        assert_eq!(sel.winner_for(key), Some(s.b), "{ctx}");
+        assert_eq!(sel.winner_for(s.other), Some(s.a), "{:?}", s.other);
+
+        // Observations of a never-offered candidate are ignored.
+        let sel = one();
+        sel.observe(key, s.b, 1);
+        assert_eq!(sel.winner_for(key), None, "{ctx}");
+
+        // A failed probe is retired instead of starving the rotation.
+        // Before the fix a failure never reached the tuner, so `choose`
+        // handed out the failing candidate forever.
+        let sel = two();
+        let s1 = sel.choose(key);
+        assert_eq!(s1, s.a, "{ctx}");
+        sel.observe_failure(key, s1);
+        assert_eq!(sel.failures_for(key), vec![s.a], "{ctx}");
+        let s2 = sel.choose(key);
+        assert_eq!(s2, s.b, "{ctx}: rotation moved on");
+        sel.observe(key, s2, 300);
+        // The surviving candidate wins; the failed one is never chosen.
+        assert_eq!(sel.winner_for(key), Some(s.b), "{ctx}");
+        assert_eq!(sel.choose(key), s.b, "{ctx}");
+
+        // Every candidate failing locks the primary rather than looping.
+        let sel = two();
+        sel.observe_failure(key, sel.choose(key));
+        sel.observe_failure(key, sel.choose(key));
+        assert_eq!(sel.winner_for(key), Some(s.a), "{ctx}");
+        assert_eq!(sel.choose(key), s.a, "{ctx}");
+
+        // Feedback after the lock is ignored.
+        let sel = one();
+        sel.observe(key, sel.choose(key), 100);
+        assert_eq!(sel.winner_for(key), Some(s.a), "{ctx}");
+        sel.observe_failure(key, s.a);
+        assert_eq!(sel.winner_for(key), Some(s.a), "{ctx}");
     }
 
     #[test]
-    fn classes_tune_independently() {
-        let sel = AdaptiveSelector::with_candidates(vec![
-            TransferStrategy::Pinned,
-            TransferStrategy::Mapped,
-        ]);
-        // Small class: mapped wins.
-        sel.observe(4 << 10, sel.choose(4 << 10), 100);
-        sel.observe(4 << 10, sel.choose(4 << 10), 50);
-        // Large class: pinned wins.
-        sel.observe(32 << 20, sel.choose(32 << 20), 10);
-        sel.observe(32 << 20, sel.choose(32 << 20), 20);
-        assert_eq!(sel.winner_for(4 << 10), Some(TransferStrategy::Mapped));
-        assert_eq!(sel.winner_for(32 << 20), Some(TransferStrategy::Pinned));
-    }
-
-    #[test]
-    fn unsolicited_observations_are_ignored() {
-        let sel = AdaptiveSelector::with_candidates(vec![TransferStrategy::Pinned]);
-        sel.observe(1 << 10, TransferStrategy::Mapped, 1); // never offered
-        assert_eq!(sel.winner_for(1 << 10), None);
+    fn every_key_shape_honours_the_tuner_contract() {
+        // Transfers: size classes tune independently (mapped wins the
+        // small class, pinned the large one).
+        contract(Shape {
+            key: 4usize << 10,
+            other: 32 << 20,
+            a: TransferStrategy::Pinned,
+            b: TransferStrategy::Mapped,
+        });
+        // One-sided: peers of one size class tune independently (a
+        // NIC-side strategy wins for cross-pod peer 7, the RMA path for
+        // co-located peer 1).
+        contract(Shape {
+            key: PeerKey(7, 1 << 20),
+            other: PeerKey(1, 1 << 20),
+            a: TransferStrategy::Rma,
+            b: TransferStrategy::Pinned,
+        });
+        // Collectives: world sizes of one size class tune independently.
+        let tuning = |algo| CollTuning { algo, chunk: 4096 };
+        contract(Shape {
+            key: CollKey(1 << 20, 4),
+            other: CollKey(1 << 20, 13),
+            a: tuning(CollAlgo::Tree),
+            b: tuning(CollAlgo::Ring),
+        });
     }
 
     #[test]
@@ -505,69 +389,11 @@ mod tests {
     }
 
     #[test]
-    fn failed_probe_is_retired_instead_of_starving() {
-        let sel = AdaptiveSelector::with_candidates(vec![
-            TransferStrategy::Pinned,
-            TransferStrategy::Mapped,
-        ]);
-        let s1 = sel.choose(1 << 20);
-        assert_eq!(s1, TransferStrategy::Pinned);
-        // The probe fails permanently. Before the fix this never reached
-        // the selector, so `choose` handed out Pinned forever.
-        sel.observe_failure(1 << 20, s1);
-        assert_eq!(sel.failures_for(1 << 20), vec![TransferStrategy::Pinned]);
-        let s2 = sel.choose(1 << 20);
-        assert_eq!(s2, TransferStrategy::Mapped, "rotation moved on");
-        sel.observe(1 << 20, s2, 300);
-        // The surviving candidate wins; the failed one is never chosen.
-        assert_eq!(sel.winner_for(1 << 20), Some(TransferStrategy::Mapped));
-        assert_eq!(sel.choose(1 << 20), TransferStrategy::Mapped);
-    }
-
-    #[test]
-    fn all_probes_failing_falls_back_to_primary_candidate() {
-        let sel = AdaptiveSelector::with_candidates(vec![
-            TransferStrategy::Pinned,
-            TransferStrategy::Mapped,
-        ]);
-        sel.observe_failure(1 << 20, sel.choose(1 << 20));
-        sel.observe_failure(1 << 20, sel.choose(1 << 20));
-        // Every candidate failed: lock the primary rather than looping.
-        assert_eq!(sel.winner_for(1 << 20), Some(TransferStrategy::Pinned));
-        assert_eq!(sel.choose(1 << 20), TransferStrategy::Pinned);
-    }
-
-    #[test]
-    fn peer_selector_tunes_each_peer_independently() {
-        let sel =
-            PeerSelector::with_candidates(vec![TransferStrategy::Rma, TransferStrategy::Pinned]);
-        // Peer 1 (co-located): the RMA probe measures faster.
-        assert_eq!(sel.choose(1, 1 << 20), TransferStrategy::Rma);
-        sel.observe(1, 1 << 20, TransferStrategy::Rma, 100);
-        sel.observe(1, 1 << 20, sel.choose(1, 1 << 20), 900);
-        // Peer 7 (cross-pod): the NIC-side strategy wins.
-        sel.observe(7, 1 << 20, sel.choose(7, 1 << 20), 900);
-        sel.observe(7, 1 << 20, sel.choose(7, 1 << 20), 100);
-        assert_eq!(sel.winner_for(1, 1 << 20), Some(TransferStrategy::Rma));
-        assert_eq!(sel.winner_for(7, 1 << 20), Some(TransferStrategy::Pinned));
-    }
-
-    #[test]
-    fn peer_selector_retires_failed_probe() {
-        let sel =
-            PeerSelector::with_candidates(vec![TransferStrategy::Rma, TransferStrategy::Pinned]);
-        sel.observe_failure(3, 1 << 20, sel.choose(3, 1 << 20));
-        assert_eq!(sel.failures_for(3, 1 << 20), vec![TransferStrategy::Rma]);
-        sel.observe(3, 1 << 20, sel.choose(3, 1 << 20), 50);
-        assert_eq!(sel.winner_for(3, 1 << 20), Some(TransferStrategy::Pinned));
-    }
-
-    #[test]
-    fn failure_after_winner_locked_is_ignored() {
-        let sel = AdaptiveSelector::with_candidates(vec![TransferStrategy::Pinned]);
-        sel.observe(1 << 10, sel.choose(1 << 10), 100);
-        assert_eq!(sel.winner_for(1 << 10), Some(TransferStrategy::Pinned));
-        sel.observe_failure(1 << 10, TransferStrategy::Pinned);
-        assert_eq!(sel.winner_for(1 << 10), Some(TransferStrategy::Pinned));
+    #[should_panic(expected = "chunks must be ≥ 1")]
+    fn zero_chunk_candidate_rejected() {
+        CollectiveSelector::with_candidates(vec![CollTuning {
+            algo: CollAlgo::Ring,
+            chunk: 0,
+        }]);
     }
 }

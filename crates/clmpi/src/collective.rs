@@ -48,16 +48,15 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
-use minicl::{
-    Buffer, ClError, ClResult, CommandQueue, Device, Event, UserEvent, WaitListStatus,
-    CL_MPI_TRANSFER_ERROR, EXEC_STATUS_ERROR_FOR_EVENTS_IN_WAIT_LIST,
-};
-use minimpi::{MpiError, Rank, ReduceOp, Request, Tag};
+use minicl::{Buffer, ClError, ClResult, CommandQueue, Device, Event, UserEvent};
+use minimpi::{Rank, ReduceOp, Tag};
+use simtime::plock::Mutex;
 use simtime::{Actor, SimNs};
 
+use crate::adaptive::{CollKey, CollectiveSelector};
 use crate::engine::{
-    poll_deps, record_child, record_envelope, record_failure, ChunkStep, EngineOp,
-    ReliableChunkSend, Step,
+    deps_ready, record_child, settle_op, strategy_failed, ChunkStep, EngineOp, Envelope, RecvStep,
+    ReliableChunkRecv, ReliableChunkSend, Report, Stage, Step, NO_SLOT,
 };
 use crate::obs::ChildIds;
 use crate::runtime::{ClMpi, Inner};
@@ -210,23 +209,40 @@ pub(crate) fn seg_bounds(count: usize, n: usize) -> Vec<(usize, usize)> {
     out
 }
 
-/// Receive-patience deadline for one collective chunk: only armed when
-/// the world actually injects faults, so fault-free runs park
-/// indefinitely on matching instead of waking on dead timers. Free
-/// function (not a method) so machines can call it while their state
-/// enum is mutably borrowed.
-fn chunk_deadline_for(inner: &Inner, now: SimNs) -> Option<(SimNs, SimNs)> {
-    inner.comm.world().has_faults().then(|| {
-        let patience = inner.retry.lock().chunk_timeout_ns;
-        (now + patience, patience)
-    })
-}
-
 fn merge_hint(a: Option<SimNs>, b: Option<SimNs>) -> Option<SimNs> {
     match (a, b) {
         (Some(x), Some(y)) => Some(x.min(y)),
         (x, None) => x,
         (None, y) => y,
+    }
+}
+
+/// Measurement feedback at a collective's settlement. When the tuner
+/// chose this run (`tuner`), a success is fed back as its probe and a
+/// transfer failure retires the tuning (a poisoned wait list says nothing
+/// about it); a success is also recorded in the stats.
+fn coll_feedback(
+    inner: &Inner,
+    tuner: Option<&Mutex<Option<Arc<CollectiveSelector>>>>,
+    what: &str,
+    key: CollKey,
+    tuning: CollTuning,
+    outcome: &ClResult<()>,
+    elapsed: SimNs,
+) {
+    if let Some(tuner) = tuner {
+        if let Some(sel) = tuner.lock().as_ref() {
+            if outcome.is_ok() {
+                sel.observe(key, tuning, elapsed);
+            } else if strategy_failed(outcome) {
+                sel.observe_failure(key, tuning);
+            }
+        }
+    }
+    if outcome.is_ok() {
+        if let Some(stats) = inner.stats.lock().as_ref() {
+            stats.record(what, tuning.algo.name(), key.0, elapsed);
+        }
     }
 }
 
@@ -348,7 +364,7 @@ impl ClMpi {
         let n = self.comm().size();
         let tuning = if self.rank() == root {
             if let Some(sel) = self.inner.coll_bcast.lock().as_ref() {
-                sel.choose(size, n)
+                sel.choose(CollKey(size, n))
             } else {
                 default_bcast_tuning(&self.inner.cfg, size, n)
             }
@@ -496,7 +512,7 @@ impl ClMpi {
             .checked_mul(8)
             .ok_or_else(|| ClError::InvalidValue(format!("allreduce count {count} overflows")))?;
         let (chunk, report) = if let Some(sel) = self.inner.coll_allreduce.lock().as_ref() {
-            (sel.choose(size, n).chunk, true)
+            (sel.choose(CollKey(size, n)).chunk, true)
         } else {
             (self.inner.cfg.default_pipeline_block, false)
         };
@@ -677,63 +693,37 @@ enum RootState {
     WaitDeps,
     Drive,
     Finish { done_at: SimNs },
-    Done,
 }
 
 impl BcastRootOp {
     fn settle(&mut self, outcome: ClResult<()>, at: SimNs) -> Step {
-        let ok = outcome.is_ok();
-        if self.report && !matches!(outcome, Err(ClError::EventFailed { .. })) {
-            if let Some(sel) = self.inner.coll_bcast.lock().as_ref() {
-                let n = self.inner.comm.size();
-                if ok {
-                    sel.observe(self.size, n, self.tuning, at.saturating_sub(self.t0));
-                } else {
-                    sel.observe_failure(self.size, n, self.tuning);
-                }
-            }
-        }
-        if ok {
-            if let Some(stats) = self.inner.stats.lock().as_ref() {
-                stats.record(
-                    "bcast",
-                    self.tuning.algo.name(),
-                    self.size,
-                    at.saturating_sub(self.t0),
-                );
-            }
-        }
-        let me = self.inner.comm.rank();
-        record_envelope(
+        let key = CollKey(self.size, self.inner.comm.size());
+        let tuner = self.report.then_some(&self.inner.coll_bcast);
+        let elapsed = at.saturating_sub(self.t0);
+        coll_feedback(
             &self.inner,
-            &self.ids,
-            "op.bcast",
-            format!("bcast@{me}#{}", self.user_tag),
-            self.submit_ns,
-            at,
-            self.size as u64,
-            ok,
-            None,
-            Some(self.wire_tag),
+            tuner,
+            "bcast",
+            key,
+            self.tuning,
+            &outcome,
+            elapsed,
         );
-        self.inner
-            .note_settled(ok, if ok { self.size as u64 } else { 0 }, 0);
-        match outcome {
-            Ok(()) => self
-                .ue
-                .set_complete(at)
-                .expect("bcast event completed once"),
-            Err(ClError::EventFailed { .. }) => self
-                .ue
-                .set_failed(at, EXEC_STATUS_ERROR_FOR_EVENTS_IN_WAIT_LIST)
-                .expect("bcast event settled once"),
-            Err(_) => self
-                .ue
-                .set_failed(at, CL_MPI_TRANSFER_ERROR)
-                .expect("bcast event settled once"),
-        }
-        self.state = RootState::Done;
-        Step::Done
+        let envelope = Envelope {
+            cat: "op.bcast",
+            name: format!("bcast@{}#{}", self.inner.comm.rank(), self.user_tag),
+            bytes: self.size as u64,
+            peer: None,
+            tag: Some(self.wire_tag),
+        };
+        let report = Report {
+            inner: &self.inner,
+            ids: &self.ids,
+            submit_ns: self.submit_ns,
+            envelope,
+            moved: (self.size as u64, 0),
+        };
+        settle_op(NO_SLOT, Some(report), Some(&self.ue), outcome, at)
     }
 }
 
@@ -745,12 +735,10 @@ impl EngineOp for BcastRootOp {
     fn step(&mut self, now: SimNs, actor: &Actor) -> Step {
         loop {
             match &self.state {
-                RootState::WaitDeps => match poll_deps(&self.wait) {
-                    WaitListStatus::Pending => return Step::Park(None),
-                    WaitListStatus::Failed { code, label } => {
-                        return self.settle(Err(ClError::EventFailed { code, label }), now);
-                    }
-                    WaitListStatus::Ready => {
+                RootState::WaitDeps => match deps_ready(&self.wait) {
+                    Ok(false) => return Step::Park(None),
+                    Err(e) => return self.settle(Err(e), now),
+                    Ok(true) => {
                         self.t0 = now;
                         let n = self.inner.comm.size();
                         let me = self.inner.comm.rank();
@@ -779,16 +767,12 @@ impl EngineOp for BcastRootOp {
                                     .device
                                     .d2h_link()
                                     .reserve_duration(pcie.staged_ns(clen, true), earliest);
-                                record_child(
+                                Stage::D2h.child(
                                     &self.inner,
                                     &mut self.ids,
-                                    "dev",
-                                    "d2h".into(),
-                                    "stage.d2h",
                                     d2h.start,
                                     d2h.end,
                                     clen as u64,
-                                    true,
                                 );
                                 d2h.end
                             };
@@ -832,7 +816,6 @@ impl EngineOp for BcastRootOp {
                     }
                     return self.settle(Ok(()), d);
                 }
-                RootState::Done => return Step::Done,
             }
         }
     }
@@ -878,76 +861,39 @@ enum RecvBcastState {
     Setup {
         resume_at: SimNs,
     },
-    AwaitChunk {
-        req: Request,
-        deadline: Option<(SimNs, SimNs)>, // (expiry instant, patience)
-    },
+    AwaitChunk(ReliableChunkRecv),
     /// Payload complete; flush the remaining forwards.
     Drain,
     Finish {
         done_at: SimNs,
     },
-    Done,
 }
 
 impl BcastRecvOp {
     fn settle(&mut self, outcome: ClResult<()>, at: SimNs) -> Step {
-        let ok = outcome.is_ok();
-        record_envelope(
-            &self.inner,
-            &self.ids,
-            "op.bcast",
-            format!("bcast@{}#{}", self.root, self.user_tag),
-            self.submit_ns,
-            at,
-            self.size as u64,
-            ok,
-            Some(self.root),
-            Some(self.wire_tag),
-        );
-        self.inner
-            .note_settled(ok, 0, if ok { self.size as u64 } else { 0 });
-        match outcome {
-            Ok(()) => self
-                .ue
-                .set_complete(at)
-                .expect("bcast event completed once"),
-            Err(ClError::EventFailed { .. }) => self
-                .ue
-                .set_failed(at, EXEC_STATUS_ERROR_FOR_EVENTS_IN_WAIT_LIST)
-                .expect("bcast event settled once"),
-            Err(_) => self
-                .ue
-                .set_failed(at, CL_MPI_TRANSFER_ERROR)
-                .expect("bcast event settled once"),
-        }
-        self.state = RecvBcastState::Done;
-        Step::Done
+        let envelope = Envelope {
+            cat: "op.bcast",
+            name: format!("bcast@{}#{}", self.root, self.user_tag),
+            bytes: self.size as u64,
+            peer: Some(self.root),
+            tag: Some(self.wire_tag),
+        };
+        let report = Report {
+            inner: &self.inner,
+            ids: &self.ids,
+            submit_ns: self.submit_ns,
+            envelope,
+            moved: (0, self.size as u64),
+        };
+        settle_op(NO_SLOT, Some(report), Some(&self.ue), outcome, at)
     }
 
     /// Post the receive for the next wire chunk. The first post is
     /// wildcard-source (the parent is unknown until the header arrives);
     /// later posts pin the learned parent.
     fn post_chunk(&mut self, now: SimNs, actor: &Actor) {
-        let req = self
-            .inner
-            .comm
-            .irecv(actor, self.parent, Some(self.wire_tag));
-        let deadline = self.inner.comm.world().has_faults().then(|| {
-            let patience = self.inner.retry.lock().chunk_timeout_ns;
-            (now + patience, patience)
-        });
-        self.state = RecvBcastState::AwaitChunk { req, deadline };
-    }
-
-    /// Cancel the posted receive (failure paths) so the matcher does not
-    /// hand a later message to a dead machine.
-    fn abandon_recv(&mut self) {
-        if let RecvBcastState::AwaitChunk { req, .. } =
-            std::mem::replace(&mut self.state, RecvBcastState::Done)
-        {
-            req.cancel();
-        }
+        let recv = ReliableChunkRecv::post(&self.inner, actor, self.parent, self.wire_tag, now);
+        self.state = RecvBcastState::AwaitChunk(recv);
     }
 }
 
@@ -959,12 +905,10 @@ impl EngineOp for BcastRecvOp {
     fn step(&mut self, now: SimNs, actor: &Actor) -> Step {
         loop {
             match &mut self.state {
-                RecvBcastState::WaitDeps => match poll_deps(&self.wait) {
-                    WaitListStatus::Pending => return Step::Park(None),
-                    WaitListStatus::Failed { code, label } => {
-                        return self.settle(Err(ClError::EventFailed { code, label }), now);
-                    }
-                    WaitListStatus::Ready => {
+                RecvBcastState::WaitDeps => match deps_ready(&self.wait) {
+                    Ok(false) => return Step::Park(None),
+                    Err(e) => return self.settle(Err(e), now),
+                    Ok(true) => {
                         self.t0 = now;
                         let pcie = self.device.spec().pcie;
                         self.state = RecvBcastState::Setup {
@@ -979,174 +923,130 @@ impl EngineOp for BcastRecvOp {
                     }
                     self.post_chunk(now, actor);
                 }
-                RecvBcastState::AwaitChunk { .. } => {
+                RecvBcastState::AwaitChunk(recv) => {
                     // Forwards first: a forward failure poisons the whole
                     // collective on this rank.
                     let fwd_hint = match self.queue.drive(&self.inner, &mut self.ids, now, actor) {
                         Ok(h) => h,
                         Err((at, e)) => {
-                            self.abandon_recv();
+                            recv.cancel();
                             return self.settle(Err(e), at.max(now));
                         }
                     };
-                    let RecvBcastState::AwaitChunk { req, deadline } = &mut self.state else {
-                        unreachable!("matched above")
+                    // The upstream process is the learned parent, or the
+                    // root before the first chunk reveals one.
+                    let parent = self.parent;
+                    let upstream = parent.unwrap_or(self.root);
+                    let noun = |dead: Option<Rank>| match (dead, parent) {
+                        (Some(r), _) => format!("broadcast chunk from rank {r}"),
+                        (None, Some(p)) => format!("broadcast chunk from {p}"),
+                        (None, None) => "broadcast chunk from any".into(),
                     };
-                    let deadline = *deadline;
-                    if let Some(result) = req.test(actor) {
-                        let r = result.expect("matched receive yields a payload");
-                        let msg = r.data;
-                        if msg.is_empty() {
-                            return self.settle(
-                                Err(ClError::TransferFailed(
-                                    "broadcast chunk missing its algorithm header".into(),
-                                )),
-                                now,
-                            );
-                        }
-                        if let Some(algo) = self.algo {
-                            if algo.id() != msg[0] {
-                                return self.settle(
-                                    Err(ClError::TransferFailed(format!(
-                                        "broadcast algorithm id changed mid-stream ({} → {})",
-                                        algo.id(),
-                                        msg[0]
-                                    ))),
-                                    now,
-                                );
-                            }
-                        } else {
-                            let Some(algo) = CollAlgo::from_id(msg[0]) else {
-                                return self.settle(
-                                    Err(ClError::TransferFailed(format!(
-                                        "unknown broadcast algorithm id {}",
-                                        msg[0]
-                                    ))),
-                                    now,
-                                );
-                            };
-                            self.algo = Some(algo);
-                            self.parent = Some(r.status.source);
-                            self.children = bcast_children(
-                                algo,
-                                self.root,
-                                self.inner.comm.size(),
-                                self.inner.comm.rank(),
-                            );
-                        }
-                        let payload_len = msg.len() - 1;
-                        if self.received + payload_len > self.size {
+                    let r = match recv.step(
+                        &self.inner,
+                        &mut self.ids,
+                        actor,
+                        now,
+                        &[upstream],
+                        noun,
+                    ) {
+                        RecvStep::Arrived(r) => r,
+                        RecvStep::Park(t) => return Step::Park(merge_hint(fwd_hint, t)),
+                        RecvStep::Failed(e) => return self.settle(Err(e), now),
+                    };
+                    let msg = r.data;
+                    if msg.is_empty() {
+                        return self.settle(
+                            Err(ClError::TransferFailed(
+                                "broadcast chunk missing its algorithm header".into(),
+                            )),
+                            now,
+                        );
+                    }
+                    if let Some(algo) = self.algo {
+                        if algo.id() != msg[0] {
                             return self.settle(
                                 Err(ClError::TransferFailed(format!(
-                                    "broadcast overflow: got {} bytes into a {}-byte region",
-                                    self.received + payload_len,
-                                    self.size
+                                    "broadcast algorithm id changed mid-stream ({} → {})",
+                                    algo.id(),
+                                    msg[0]
                                 ))),
                                 now,
                             );
                         }
-                        if payload_len > 0 {
-                            self.buf
-                                .store(self.offset + self.received, &msg[1..])
-                                .expect("range checked at enqueue");
-                            let pcie = self.device.spec().pcie;
-                            let h2d = self
-                                .device
-                                .h2d_link()
-                                .reserve_duration(pcie.staged_ns(payload_len, true), now);
-                            record_child(
-                                &self.inner,
-                                &mut self.ids,
-                                "dev",
-                                "h2d".into(),
-                                "stage.h2d",
-                                h2d.start,
-                                h2d.end,
-                                payload_len as u64,
-                                true,
-                            );
-                            self.last_h2d_end = self.last_h2d_end.max(h2d.end);
-                        }
-                        // Store-and-forward: re-inject the verbatim wire
-                        // message (header included) to every child now —
-                        // while later chunks are still inbound.
-                        for i in 0..self.children.len() {
-                            let c = self.children[i];
-                            self.queue.push(
-                                ReliableChunkSend::new(
-                                    &self.inner,
-                                    c,
-                                    self.wire_tag,
-                                    msg.clone(),
-                                    now,
-                                    None,
-                                ),
+                    } else {
+                        let Some(algo) = CollAlgo::from_id(msg[0]) else {
+                            return self.settle(
+                                Err(ClError::TransferFailed(format!(
+                                    "unknown broadcast algorithm id {}",
+                                    msg[0]
+                                ))),
                                 now,
-                                format!("fwd[{}]→r{c}", self.chunk_idx),
-                                "forward",
                             );
-                        }
-                        self.chunk_idx += 1;
-                        self.received += payload_len;
-                        if self.received >= self.size {
-                            self.state = RecvBcastState::Drain;
-                        } else {
-                            self.post_chunk(now, actor);
-                        }
-                    } else if let Some(at) = req.known_completion() {
-                        // Matched, in flight: arrival is committed.
-                        return Step::Park(merge_hint(fwd_hint, Some(at.max(now + 1))));
-                    } else if self
-                        .inner
-                        .peer_failed(self.parent.unwrap_or(self.root), now)
-                    {
-                        // The upstream process (the learned parent, or
-                        // the root before the first chunk reveals one)
-                        // is dead and nothing is in flight: no further
-                        // chunk can arrive. Abort-and-poison now instead
-                        // of waiting out the chunk patience (ULFM lets a
-                        // failed peer fail pending communication).
-                        let upstream = self.parent.unwrap_or(self.root);
-                        self.abandon_recv();
-                        if let Some(stats) = self.inner.stats.lock().as_ref() {
-                            stats.note_proc_failure();
-                        }
-                        record_failure(&self.inner, &mut self.ids, upstream, now);
+                        };
+                        self.algo = Some(algo);
+                        self.parent = Some(r.status.source);
+                        self.children = bcast_children(
+                            algo,
+                            self.root,
+                            self.inner.comm.size(),
+                            self.inner.comm.rank(),
+                        );
+                    }
+                    let payload_len = msg.len() - 1;
+                    if self.received + payload_len > self.size {
                         return self.settle(
                             Err(ClError::TransferFailed(format!(
-                                "broadcast chunk from rank {upstream} (tag {}): {}",
-                                self.wire_tag,
-                                MpiError::ProcFailed { rank: upstream }
+                                "broadcast overflow: got {} bytes into a {}-byte region",
+                                self.received + payload_len,
+                                self.size
                             ))),
                             now,
                         );
-                    } else if let Some((at, patience)) = deadline {
-                        if now >= at {
-                            self.abandon_recv();
-                            if let Some(stats) = self.inner.stats.lock().as_ref() {
-                                stats.note_failure();
-                            }
-                            let e = MpiError::Timeout {
-                                waited_ns: patience,
-                            };
-                            return self.settle(
-                                Err(ClError::TransferFailed(format!(
-                                    "broadcast chunk from {} (tag {}) gave up: {e}",
-                                    self.parent
-                                        .map(|p| p.to_string())
-                                        .unwrap_or_else(|| "any".into()),
-                                    self.wire_tag
-                                ))),
+                    }
+                    if payload_len > 0 {
+                        self.buf
+                            .store(self.offset + self.received, &msg[1..])
+                            .expect("range checked at enqueue");
+                        let pcie = self.device.spec().pcie;
+                        let h2d = self
+                            .device
+                            .h2d_link()
+                            .reserve_duration(pcie.staged_ns(payload_len, true), now);
+                        Stage::H2d.child(
+                            &self.inner,
+                            &mut self.ids,
+                            h2d.start,
+                            h2d.end,
+                            payload_len as u64,
+                        );
+                        self.last_h2d_end = self.last_h2d_end.max(h2d.end);
+                    }
+                    // Store-and-forward: re-inject the verbatim wire
+                    // message (header included) to every child now —
+                    // while later chunks are still inbound.
+                    for i in 0..self.children.len() {
+                        let c = self.children[i];
+                        self.queue.push(
+                            ReliableChunkSend::new(
+                                &self.inner,
+                                c,
+                                self.wire_tag,
+                                msg.clone(),
                                 now,
-                            );
-                        }
-                        let upstream = self.parent.unwrap_or(self.root);
-                        let wake = self.inner.park_until_failure(upstream, now, Some(at));
-                        return Step::Park(merge_hint(fwd_hint, wake));
+                                None,
+                            ),
+                            now,
+                            format!("fwd[{}]→r{c}", self.chunk_idx),
+                            "forward",
+                        );
+                    }
+                    self.chunk_idx += 1;
+                    self.received += payload_len;
+                    if self.received >= self.size {
+                        self.state = RecvBcastState::Drain;
                     } else {
-                        let upstream = self.parent.unwrap_or(self.root);
-                        let wake = self.inner.park_until_failure(upstream, now, None);
-                        return Step::Park(merge_hint(fwd_hint, wake));
+                        self.post_chunk(now, actor);
                     }
                 }
                 RecvBcastState::Drain => {
@@ -1167,7 +1067,6 @@ impl EngineOp for BcastRecvOp {
                     }
                     return self.settle(Ok(()), d);
                 }
-                RecvBcastState::Done => return Step::Done,
             }
         }
     }
@@ -1192,8 +1091,7 @@ enum RingPhase {
 /// The in-progress receive of one ring segment (possibly several wire
 /// chunks; the receiver drains by byte count).
 struct SegRecv {
-    req: Request,
-    deadline: Option<(SimNs, SimNs)>,
+    recv: ReliableChunkRecv,
     seg: usize,
     got: usize,
     data: Vec<u8>,
@@ -1204,16 +1102,15 @@ enum SegVerdict {
     Complete(SimNs),
     /// Still waiting; wake hint.
     Pending(Option<SimNs>),
-    /// Receive failed permanently.
-    Fail(ClError, SimNs),
+    /// Receive failed permanently at the current instant.
+    Fail(ClError),
 }
 
 /// Root-side state of the reduce-to-root segment gather: every other
 /// rank streams its owned reduced segment; chunks are written straight
 /// into a byte image of the full region.
 struct GatherState {
-    req: Request,
-    deadline: Option<(SimNs, SimNs)>,
+    recv: ReliableChunkRecv,
     /// Bytes received so far per source (chunk offset within its
     /// segment).
     per_src: BTreeMap<Rank, usize>,
@@ -1279,7 +1176,6 @@ enum RingState {
     Finish {
         done_at: SimNs,
     },
-    Done,
 }
 
 impl RingReduceOp {
@@ -1292,94 +1188,48 @@ impl RingReduceOp {
         (self.inner.comm.rank() + n - 1) % n
     }
 
-    fn chunk_deadline(&self, now: SimNs) -> Option<(SimNs, SimNs)> {
-        chunk_deadline_for(&self.inner, now)
-    }
-
     fn settle(&mut self, outcome: ClResult<()>, at: SimNs) -> Step {
-        let ok = outcome.is_ok();
-        let n = self.inner.comm.size();
-        if self.report && !matches!(outcome, Err(ClError::EventFailed { .. })) {
-            if let Some(sel) = self.inner.coll_allreduce.lock().as_ref() {
-                let tuning = CollTuning {
-                    algo: CollAlgo::Ring,
-                    chunk: self.chunk,
-                };
-                if ok {
-                    sel.observe(self.size(), n, tuning, at.saturating_sub(self.t0));
-                } else {
-                    sel.observe_failure(self.size(), n, tuning);
-                }
-            }
-        }
-        let (cat, name, peer, what) = match self.kind {
+        let size = self.size() as u64;
+        let me = self.inner.comm.rank();
+        let (cat, name, peer, what, moved) = match self.kind {
             RingKind::Allreduce => (
                 "op.allreduce",
                 format!("allreduce#{}", self.user_tag),
                 None,
                 "allreduce",
+                (size, size),
             ),
             RingKind::ReduceToRoot(root) => (
                 "op.reduce",
                 format!("reduce@{root}#{}", self.user_tag),
                 Some(root),
                 "reduce",
+                if me == root { (0, size) } else { (size, 0) },
             ),
         };
-        if ok {
-            if let Some(stats) = self.inner.stats.lock().as_ref() {
-                stats.record(what, "ring", self.size(), at.saturating_sub(self.t0));
-            }
-        }
-        record_envelope(
-            &self.inner,
-            &self.ids,
+        let key = CollKey(self.size(), self.inner.comm.size());
+        let tuning = CollTuning {
+            algo: CollAlgo::Ring,
+            chunk: self.chunk,
+        };
+        let tuner = self.report.then_some(&self.inner.coll_allreduce);
+        let elapsed = at.saturating_sub(self.t0);
+        coll_feedback(&self.inner, tuner, what, key, tuning, &outcome, elapsed);
+        let envelope = Envelope {
             cat,
             name,
-            self.submit_ns,
-            at,
-            self.size() as u64,
-            ok,
+            bytes: size,
             peer,
-            Some(self.wire_tag),
-        );
-        let me = self.inner.comm.rank();
-        let (sent, received) = match self.kind {
-            RingKind::Allreduce => (self.size() as u64, self.size() as u64),
-            RingKind::ReduceToRoot(root) if me == root => (0, self.size() as u64),
-            RingKind::ReduceToRoot(_) => (self.size() as u64, 0),
+            tag: Some(self.wire_tag),
         };
-        self.inner
-            .note_settled(ok, if ok { sent } else { 0 }, if ok { received } else { 0 });
-        match outcome {
-            Ok(()) => self
-                .ue
-                .set_complete(at)
-                .expect("reduce event completed once"),
-            Err(ClError::EventFailed { .. }) => self
-                .ue
-                .set_failed(at, EXEC_STATUS_ERROR_FOR_EVENTS_IN_WAIT_LIST)
-                .expect("reduce event settled once"),
-            Err(_) => self
-                .ue
-                .set_failed(at, CL_MPI_TRANSFER_ERROR)
-                .expect("reduce event settled once"),
-        }
-        self.state = RingState::Done;
-        Step::Done
-    }
-
-    /// Cancel whatever receive the current state holds (failure paths).
-    fn abandon_recv(&mut self) {
-        match std::mem::replace(&mut self.state, RingState::Done) {
-            RingState::Round { recv: Some(sr), .. } => {
-                sr.req.cancel();
-            }
-            RingState::GatherRoot { gs } => {
-                gs.req.cancel();
-            }
-            _ => {}
-        }
+        let report = Report {
+            inner: &self.inner,
+            ids: &self.ids,
+            submit_ns: self.submit_ns,
+            envelope,
+            moved,
+        };
+        settle_op(NO_SLOT, Some(report), Some(&self.ue), outcome, at)
     }
 
     /// Arm round `idx` of `phase` starting at `start`: queue the send
@@ -1421,14 +1271,16 @@ impl RingReduceOp {
         }
         let (_, rlen_el) = segs[recv_seg];
         let (recv, recv_done) = if rlen_el > 0 {
-            let req = self
-                .inner
-                .comm
-                .irecv(actor, Some(self.prev()), Some(self.wire_tag));
+            let recv = ReliableChunkRecv::post(
+                &self.inner,
+                actor,
+                Some(self.prev()),
+                self.wire_tag,
+                start,
+            );
             (
                 Some(SegRecv {
-                    req,
-                    deadline: self.chunk_deadline(start),
+                    recv,
                     seg: recv_seg,
                     got: 0,
                     data: vec![0u8; rlen_el * 8],
@@ -1456,104 +1308,61 @@ impl RingReduceOp {
         now: SimNs,
         actor: &Actor,
     ) -> SegVerdict {
+        let prev = self.prev();
         loop {
-            if let Some(result) = sr.req.test(actor) {
-                let r = result.expect("matched receive yields a payload");
-                if sr.got + r.data.len() > sr.data.len() {
-                    return SegVerdict::Fail(
-                        ClError::TransferFailed(format!(
-                            "ring segment overflow: got {} bytes into a {}-byte segment",
-                            sr.got + r.data.len(),
-                            sr.data.len()
-                        )),
-                        now,
-                    );
-                }
-                sr.data[sr.got..sr.got + r.data.len()].copy_from_slice(&r.data);
-                sr.got += r.data.len();
-                if sr.got == sr.data.len() {
-                    let n = self.inner.comm.size();
-                    let (off_el, len_el) = seg_bounds(self.count, n)[sr.seg];
-                    let vals: Vec<f64> = sr
-                        .data
-                        .chunks_exact(8)
-                        .map(|b| f64::from_le_bytes(b.try_into().expect("8-byte chunks")))
-                        .collect();
-                    return match phase {
-                        RingPhase::ReduceScatter => {
-                            self.op.fold(&mut self.host[off_el..off_el + len_el], &vals);
-                            let fold_ns = (sr.got as f64 * 1e9 / REDUCE_BPS).round() as SimNs;
-                            record_child(
-                                &self.inner,
-                                &mut self.ids,
-                                "dev",
-                                format!("reduce[{}]", sr.seg),
-                                "reduce",
-                                now,
-                                now + fold_ns,
-                                sr.got as u64,
-                                true,
-                            );
-                            SegVerdict::Complete(now + fold_ns)
-                        }
-                        RingPhase::Allgather => {
-                            self.host[off_el..off_el + len_el].copy_from_slice(&vals);
-                            SegVerdict::Complete(now)
-                        }
-                    };
-                }
-                // More wire chunks of this segment to come.
-                sr.req = self
-                    .inner
-                    .comm
-                    .irecv(actor, Some(self.prev()), Some(self.wire_tag));
-                sr.deadline = self.chunk_deadline(now);
-                continue;
+            let noun = |_| format!("ring segment from rank {prev}");
+            let r = match sr
+                .recv
+                .step(&self.inner, &mut self.ids, actor, now, &[prev], noun)
+            {
+                RecvStep::Arrived(r) => r,
+                // The predecessor dead and nothing in flight: the ring is
+                // broken, no segment chunk can ever arrive.
+                RecvStep::Failed(e) => return SegVerdict::Fail(e),
+                RecvStep::Park(t) => return SegVerdict::Pending(t),
+            };
+            if sr.got + r.data.len() > sr.data.len() {
+                return SegVerdict::Fail(ClError::TransferFailed(format!(
+                    "ring segment overflow: got {} bytes into a {}-byte segment",
+                    sr.got + r.data.len(),
+                    sr.data.len()
+                )));
             }
-            if let Some(at) = sr.req.known_completion() {
-                return SegVerdict::Pending(Some(at.max(now + 1)));
-            }
-            if self.inner.peer_failed(self.prev(), now) {
-                // The predecessor is dead and nothing is in flight: the
-                // ring is broken, no segment chunk can ever arrive.
-                let prev = self.prev();
-                if let Some(stats) = self.inner.stats.lock().as_ref() {
-                    stats.note_proc_failure();
-                }
-                record_failure(&self.inner, &mut self.ids, prev, now);
-                return SegVerdict::Fail(
-                    ClError::TransferFailed(format!(
-                        "ring segment from rank {prev} (tag {}): {}",
-                        self.wire_tag,
-                        MpiError::ProcFailed { rank: prev }
-                    )),
-                    now,
-                );
-            }
-            if let Some((at, patience)) = sr.deadline {
-                if now >= at {
-                    if let Some(stats) = self.inner.stats.lock().as_ref() {
-                        stats.note_failure();
+            sr.data[sr.got..sr.got + r.data.len()].copy_from_slice(&r.data);
+            sr.got += r.data.len();
+            if sr.got == sr.data.len() {
+                let n = self.inner.comm.size();
+                let (off_el, len_el) = seg_bounds(self.count, n)[sr.seg];
+                let vals: Vec<f64> = sr
+                    .data
+                    .chunks_exact(8)
+                    .map(|b| f64::from_le_bytes(b.try_into().expect("8-byte chunks")))
+                    .collect();
+                return match phase {
+                    RingPhase::ReduceScatter => {
+                        self.op.fold(&mut self.host[off_el..off_el + len_el], &vals);
+                        let fold_ns = (sr.got as f64 * 1e9 / REDUCE_BPS).round() as SimNs;
+                        record_child(
+                            &self.inner,
+                            &mut self.ids,
+                            "dev",
+                            format!("reduce[{}]", sr.seg),
+                            "reduce",
+                            now,
+                            now + fold_ns,
+                            sr.got as u64,
+                            true,
+                        );
+                        SegVerdict::Complete(now + fold_ns)
                     }
-                    let e = MpiError::Timeout {
-                        waited_ns: patience,
-                    };
-                    return SegVerdict::Fail(
-                        ClError::TransferFailed(format!(
-                            "ring segment from rank {} (tag {}) gave up: {e}",
-                            self.prev(),
-                            self.wire_tag
-                        )),
-                        now,
-                    );
-                }
-                return SegVerdict::Pending(self.inner.park_until_failure(
-                    self.prev(),
-                    now,
-                    Some(at),
-                ));
+                    RingPhase::Allgather => {
+                        self.host[off_el..off_el + len_el].copy_from_slice(&vals);
+                        SegVerdict::Complete(now)
+                    }
+                };
             }
-            return SegVerdict::Pending(self.inner.park_until_failure(self.prev(), now, None));
+            // More wire chunks of this segment to come.
+            sr.recv = ReliableChunkRecv::post(&self.inner, actor, Some(prev), self.wire_tag, now);
         }
     }
 
@@ -1628,11 +1437,10 @@ impl RingReduceOp {
             return;
         }
         let image: Vec<u8> = self.host.iter().flat_map(|v| v.to_le_bytes()).collect();
-        let req = self.inner.comm.irecv(actor, None, Some(self.wire_tag));
+        let recv = ReliableChunkRecv::post(&self.inner, actor, None, self.wire_tag, at);
         self.state = RingState::GatherRoot {
             gs: Box::new(GatherState {
-                req,
-                deadline: self.chunk_deadline(at),
+                recv,
                 per_src: BTreeMap::new(),
                 got: 0,
                 expect,
@@ -1652,16 +1460,12 @@ impl RingReduceOp {
             .device
             .h2d_link()
             .reserve_duration(pcie.staged_ns(bytes.len(), true), at);
-        record_child(
+        Stage::H2d.child(
             &self.inner,
             &mut self.ids,
-            "dev",
-            "h2d".into(),
-            "stage.h2d",
             h2d.start,
             h2d.end,
             bytes.len() as u64,
-            true,
         );
         self.state = RingState::Store { end: h2d.end };
     }
@@ -1675,12 +1479,10 @@ impl EngineOp for RingReduceOp {
     fn step(&mut self, now: SimNs, actor: &Actor) -> Step {
         loop {
             match &mut self.state {
-                RingState::WaitDeps => match poll_deps(&self.wait) {
-                    WaitListStatus::Pending => return Step::Park(None),
-                    WaitListStatus::Failed { code, label } => {
-                        return self.settle(Err(ClError::EventFailed { code, label }), now);
-                    }
-                    WaitListStatus::Ready => {
+                RingState::WaitDeps => match deps_ready(&self.wait) {
+                    Ok(false) => return Step::Park(None),
+                    Err(e) => return self.settle(Err(e), now),
+                    Ok(true) => {
                         self.t0 = now;
                         let n = self.inner.comm.size();
                         if n == 1 || self.count == 0 {
@@ -1703,17 +1505,7 @@ impl EngineOp for RingReduceOp {
                             pcie.staged_ns(self.size(), true),
                             now + pcie.pin_setup_ns,
                         );
-                        record_child(
-                            &self.inner,
-                            &mut self.ids,
-                            "dev",
-                            "d2h".into(),
-                            "stage.d2h",
-                            d2h.start,
-                            d2h.end,
-                            sz,
-                            true,
-                        );
+                        Stage::D2h.child(&self.inner, &mut self.ids, d2h.start, d2h.end, sz);
                         self.state = RingState::Load { end: d2h.end };
                     }
                 },
@@ -1724,50 +1516,47 @@ impl EngineOp for RingReduceOp {
                     }
                     self.begin_round(RingPhase::ReduceScatter, 0, e.max(now), actor);
                 }
-                RingState::Round { .. } => {
+                RingState::Round {
+                    phase,
+                    idx,
+                    start,
+                    recv,
+                    recv_done,
+                } => {
+                    let (phase, idx, start) = (*phase, *idx, *start);
+                    // Take the pending receive out of the state so the
+                    // fold can borrow host/op/ids freely.
+                    let mut pending = recv.take();
+                    let mut recv_done = *recv_done;
                     let send_hint = match self.queue.drive(&self.inner, &mut self.ids, now, actor) {
                         Ok(h) => h,
                         Err((at, e)) => {
-                            self.abandon_recv();
+                            if let Some(sr) = &mut pending {
+                                sr.recv.cancel();
+                            }
                             return self.settle(Err(e), at.max(now));
                         }
                     };
-                    let (phase, idx, start) = match &self.state {
-                        RingState::Round {
-                            phase, idx, start, ..
-                        } => (*phase, *idx, *start),
-                        _ => unreachable!("matched above"),
-                    };
-                    // Take the pending receive out of the state so the
-                    // fold can borrow host/op/ids freely.
-                    let taken = match &mut self.state {
-                        RingState::Round { recv, .. } => recv.take(),
-                        _ => unreachable!("matched above"),
-                    };
                     let mut recv_hint = None;
-                    if let Some(mut sr) = taken {
+                    if let Some(mut sr) = pending.take() {
                         match self.drive_seg_recv(&mut sr, phase, now, actor) {
-                            SegVerdict::Complete(at) => {
-                                if let RingState::Round { recv_done, .. } = &mut self.state {
-                                    *recv_done = Some(at);
-                                }
-                            }
+                            SegVerdict::Complete(at) => recv_done = Some(at),
                             SegVerdict::Pending(hint) => {
                                 recv_hint = hint;
-                                if let RingState::Round { recv, .. } = &mut self.state {
-                                    *recv = Some(sr);
-                                }
+                                pending = Some(sr);
                             }
-                            SegVerdict::Fail(e, at) => {
-                                sr.req.cancel();
-                                return self.settle(Err(e), at.max(now));
-                            }
+                            SegVerdict::Fail(e) => return self.settle(Err(e), now),
                         }
                     }
-                    let recv_done = match &self.state {
-                        RingState::Round { recv_done, .. } => *recv_done,
-                        _ => unreachable!("matched above"),
-                    };
+                    if let RingState::Round {
+                        recv,
+                        recv_done: rd,
+                        ..
+                    } = &mut self.state
+                    {
+                        *recv = pending;
+                        *rd = recv_done;
+                    }
                     if self.queue.is_empty() {
                         if let Some(rd) = recv_done {
                             let round_end = rd.max(self.queue.done_at).max(start);
@@ -1794,110 +1583,63 @@ impl EngineOp for RingReduceOp {
                     }
                 }
                 RingState::GatherRoot { gs } => {
-                    if let Some(result) = gs.req.test(actor) {
-                        let r = result.expect("matched receive yields a payload");
-                        let n = self.inner.comm.size();
-                        let src = r.status.source;
-                        let seg = (src + 1) % n;
-                        let (off_el, len_el) = seg_bounds(self.count, n)[seg];
-                        let within = gs.per_src.entry(src).or_insert(0);
-                        if *within + r.data.len() > len_el * 8 {
-                            let got = *within + r.data.len();
-                            self.abandon_recv();
-                            return self.settle(
-                                Err(ClError::TransferFailed(format!(
-                                    "reduce gather overflow from rank {src}: {got} bytes \
-                                     into a {}-byte segment",
-                                    len_el * 8
-                                ))),
-                                now,
-                            );
-                        }
-                        let base = off_el * 8 + *within;
-                        gs.image[base..base + r.data.len()].copy_from_slice(&r.data);
-                        *within += r.data.len();
-                        gs.got += r.data.len();
-                        if gs.got == gs.expect {
-                            let fold_ns = (gs.expect as f64 * 1e9 / REDUCE_BPS).round() as SimNs;
-                            let bytes = std::mem::take(&mut gs.image);
-                            record_child(
-                                &self.inner,
-                                &mut self.ids,
-                                "dev",
-                                "reduce[gather]".into(),
-                                "reduce",
-                                now,
-                                now + fold_ns,
-                                bytes.len() as u64,
-                                true,
-                            );
-                            self.begin_store(bytes, now + fold_ns);
-                            continue;
-                        }
-                        gs.req = self.inner.comm.irecv(actor, None, Some(self.wire_tag));
-                        gs.deadline = chunk_deadline_for(&self.inner, now);
-                    } else if let Some(at) = gs.req.known_completion() {
-                        return Step::Park(Some(at.max(now + 1)));
-                    } else {
-                        // A contributor whose segment is still incomplete
-                        // and whose process is dead can never finish the
-                        // gather; nothing is in flight, so fail fast.
-                        let n = self.inner.comm.size();
-                        let me = self.inner.comm.rank();
-                        let segs = seg_bounds(self.count, n);
-                        let missing: Vec<Rank> = (0..n)
-                            .filter(|&r| {
-                                r != me
-                                    && segs[(r + 1) % n].1 > 0
-                                    && gs.per_src.get(&r).copied().unwrap_or(0)
-                                        < segs[(r + 1) % n].1 * 8
-                            })
-                            .collect();
-                        let deadline = gs.deadline;
-                        if let Some(&dead) =
-                            missing.iter().find(|&&r| self.inner.peer_failed(r, now))
+                    // The contributors whose segment is still incomplete:
+                    // a dead one can never finish the gather.
+                    let n = self.inner.comm.size();
+                    let me = self.inner.comm.rank();
+                    let segs = seg_bounds(self.count, n);
+                    let missing: Vec<Rank> = (0..n)
+                        .filter(|&r| {
+                            let len = segs[(r + 1) % n].1 * 8;
+                            r != me && len > 0 && gs.per_src.get(&r).copied().unwrap_or(0) < len
+                        })
+                        .collect();
+                    let noun = |_| "reduce gather".to_string();
+                    let r =
+                        match gs
+                            .recv
+                            .step(&self.inner, &mut self.ids, actor, now, &missing, noun)
                         {
-                            self.abandon_recv();
-                            if let Some(stats) = self.inner.stats.lock().as_ref() {
-                                stats.note_proc_failure();
-                            }
-                            record_failure(&self.inner, &mut self.ids, dead, now);
-                            return self.settle(
-                                Err(ClError::TransferFailed(format!(
-                                    "reduce gather (tag {}): {}",
-                                    self.wire_tag,
-                                    MpiError::ProcFailed { rank: dead }
-                                ))),
-                                now,
-                            );
-                        }
-                        // Park until the patience deadline or the first
-                        // scheduled death of a missing contributor.
-                        let wake = missing
-                            .iter()
-                            .filter_map(|&r| self.inner.park_until_failure(r, now, None))
-                            .min();
-                        let Some((at, patience)) = deadline else {
-                            return Step::Park(wake);
+                            RecvStep::Arrived(r) => r,
+                            RecvStep::Park(t) => return Step::Park(t),
+                            RecvStep::Failed(e) => return self.settle(Err(e), now),
                         };
-                        if now >= at {
-                            self.abandon_recv();
-                            if let Some(stats) = self.inner.stats.lock().as_ref() {
-                                stats.note_failure();
-                            }
-                            let e = MpiError::Timeout {
-                                waited_ns: patience,
-                            };
-                            return self.settle(
-                                Err(ClError::TransferFailed(format!(
-                                    "reduce gather (tag {}) gave up: {e}",
-                                    self.wire_tag
-                                ))),
-                                now,
-                            );
-                        }
-                        return Step::Park(merge_hint(Some(at), wake));
+                    let src = r.status.source;
+                    let (off_el, len_el) = segs[(src + 1) % n];
+                    let within = gs.per_src.entry(src).or_insert(0);
+                    if *within + r.data.len() > len_el * 8 {
+                        let got = *within + r.data.len();
+                        return self.settle(
+                            Err(ClError::TransferFailed(format!(
+                                "reduce gather overflow from rank {src}: {got} bytes \
+                                 into a {}-byte segment",
+                                len_el * 8
+                            ))),
+                            now,
+                        );
                     }
+                    let base = off_el * 8 + *within;
+                    gs.image[base..base + r.data.len()].copy_from_slice(&r.data);
+                    *within += r.data.len();
+                    gs.got += r.data.len();
+                    if gs.got == gs.expect {
+                        let fold_ns = (gs.expect as f64 * 1e9 / REDUCE_BPS).round() as SimNs;
+                        let bytes = std::mem::take(&mut gs.image);
+                        record_child(
+                            &self.inner,
+                            &mut self.ids,
+                            "dev",
+                            "reduce[gather]".into(),
+                            "reduce",
+                            now,
+                            now + fold_ns,
+                            bytes.len() as u64,
+                            true,
+                        );
+                        self.begin_store(bytes, now + fold_ns);
+                        continue;
+                    }
+                    gs.recv = ReliableChunkRecv::post(&self.inner, actor, None, self.wire_tag, now);
                 }
                 RingState::Store { end } => {
                     let e = *end;
@@ -1915,7 +1657,6 @@ impl EngineOp for RingReduceOp {
                     }
                     return self.settle(Ok(()), d);
                 }
-                RingState::Done => return Step::Done,
             }
         }
     }

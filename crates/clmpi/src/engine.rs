@@ -55,6 +55,7 @@ use simtime::{
     SimClock, SimNs,
 };
 
+use crate::adaptive::PeerKey;
 use crate::obs::ChildIds;
 use crate::retry::RetryPolicy;
 use crate::runtime::Inner;
@@ -298,34 +299,41 @@ impl SimActor for EngineCore {
 // ----------------------------------------------------------------------
 
 /// Poll a wait list the way the old runtime threads waited on it, but
-/// without blocking: `Pending` until *every* event settles, then the
-/// first failure in list order (poisoning), or `Ready`.
-pub(crate) fn poll_deps(wait: &[Event]) -> WaitListStatus {
-    Event::poll_wait_list(wait)
+/// without blocking: `Ok(false)` until *every* event settles, then the
+/// first failure in list order as the poisoning error, or `Ok(true)`.
+pub(crate) fn deps_ready(wait: &[Event]) -> ClResult<bool> {
+    match Event::poll_wait_list(wait) {
+        WaitListStatus::Pending => Ok(false),
+        WaitListStatus::Ready => Ok(true),
+        WaitListStatus::Failed { code, label } => Err(ClError::EventFailed { code, label }),
+    }
 }
 
-/// Like [`poll_deps`] but ignoring failures — the collective and file
-/// commands historically only ordered on settlement, not success.
+/// Like [`deps_ready`] but ignoring failures — the file commands
+/// historically only ordered on settlement, not success.
 pub(crate) fn deps_settled(wait: &[Event]) -> bool {
     !matches!(Event::poll_wait_list(wait), WaitListStatus::Pending)
 }
 
-/// Record a top-level operation envelope on the rank's `host` track:
-/// submit instant → settlement instant, with the op's stable id,
-/// category, payload size, outcome, and transfer endpoints. This is the
-/// span exporters pair into causal send→recv links.
-#[allow(clippy::too_many_arguments)]
+/// A top-level operation envelope: category, name, payload size and
+/// transfer endpoints. Recorded on the rank's `host` track from submit to
+/// settlement; exporters pair these spans into causal send→recv links.
+pub(crate) struct Envelope {
+    pub cat: &'static str,
+    pub name: String,
+    pub bytes: u64,
+    pub peer: Option<Rank>,
+    pub tag: Option<Tag>,
+}
+
+/// Record an operation envelope with the op's stable id and outcome.
 pub(crate) fn record_envelope(
     inner: &Inner,
     ids: &ChildIds,
-    cat: &str,
-    name: String,
+    env: Envelope,
     start: SimNs,
     end: SimNs,
-    bytes: u64,
     ok: bool,
-    peer: Option<Rank>,
-    tag: Option<Tag>,
 ) {
     let rank = inner.comm.rank();
     inner.trace.record_op(OpSpan {
@@ -333,33 +341,15 @@ pub(crate) fn record_envelope(
         parent: None,
         rank: rank as u32,
         track: format!("r{rank}.host"),
-        name,
-        cat: cat.into(),
+        name: env.name,
+        cat: env.cat.into(),
         start,
         end: end.max(start),
-        bytes,
+        bytes: env.bytes,
         ok,
-        peer: peer.map(|p| p as u32),
-        tag,
+        peer: env.peer.map(|p| p as u32),
+        tag: env.tag,
     });
-}
-
-/// Record an `op.failure` span: the instant an operation observed a dead
-/// peer process (ULFM `MPI_ERR_PROC_FAILED` class), attributed to the
-/// op's id block. Summarized into the recovery counters of
-/// [`crate::obs::ObsSummary`], separately from the ordinary op counters.
-pub(crate) fn record_failure(inner: &Inner, ids: &mut ChildIds, peer: Rank, at: SimNs) {
-    record_child(
-        inner,
-        ids,
-        "host",
-        format!("proc-failure r{peer}"),
-        "op.failure",
-        at,
-        at,
-        0,
-        false,
-    );
 }
 
 /// Record a child span (a chunk, retry, drop, or staging hop) under its
@@ -391,6 +381,139 @@ pub(crate) fn record_child(
         peer: None,
         tag: None,
     });
+}
+
+/// Count an operation's permanent failure. A dead peer (`Some(rank)`) is
+/// a ULFM `MPI_ERR_PROC_FAILED`-class process failure: it is counted as
+/// such and recorded as an `op.failure` span at the instant the op
+/// observed it, summarized into the recovery counters of
+/// [`crate::obs::ObsSummary`] separately from the ordinary op counters.
+pub(crate) fn note_abort(inner: &Inner, ids: &mut ChildIds, dead: Option<Rank>, at: SimNs) {
+    if let Some(stats) = inner.stats.lock().as_ref() {
+        match dead {
+            Some(_) => stats.note_proc_failure(),
+            None => stats.note_failure(),
+        }
+    }
+    if let Some(peer) = dead {
+        let name = format!("proc-failure r{peer}");
+        record_child(inner, ids, "host", name, "op.failure", at, at, 0, false);
+    }
+}
+
+/// One stage a transfer chunk passes through, named as the traces name it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Stage {
+    /// On-device pack kernel (device-pack lowering).
+    Pack,
+    /// Device → host staging hop.
+    D2h,
+    /// Host → device staging hop.
+    H2d,
+    /// On-device unpack kernel (device-unpack lowering).
+    Unpack,
+    /// The wire hop to a peer.
+    Net(Rank),
+    /// The mapped path's fused map + wire stream to a peer.
+    MapSend(Rank),
+}
+
+impl Stage {
+    /// (track, span name, category) of the stage's child span.
+    fn parts(self) -> (&'static str, String, &'static str) {
+        match self {
+            Stage::Pack => ("dev", "pack".into(), "stage.pack"),
+            Stage::D2h => ("dev", "d2h".into(), "stage.d2h"),
+            Stage::H2d => ("dev", "h2d".into(), "stage.h2d"),
+            Stage::Unpack => ("dev", "unpack".into(), "stage.unpack"),
+            Stage::Net(peer) => ("net", format!("net→{peer}"), "chunk"),
+            Stage::MapSend(peer) => ("net", format!("map+send→{peer}"), "chunk"),
+        }
+    }
+
+    /// Record the stage as a child span of the op.
+    pub(crate) fn child(
+        self,
+        inner: &Inner,
+        ids: &mut ChildIds,
+        start: SimNs,
+        end: SimNs,
+        bytes: u64,
+    ) {
+        let (track, name, cat) = self.parts();
+        record_child(inner, ids, track, name, cat, start, end, bytes, true);
+    }
+
+    /// Record the stage on the rank's `comm` lane (the Fig. 4 timeline)
+    /// and as a child span of the op, in that order: the one place the
+    /// point-to-point machines emit their per-chunk stage spans.
+    pub(crate) fn record(
+        self,
+        inner: &Inner,
+        ids: &mut ChildIds,
+        start: SimNs,
+        end: SimNs,
+        bytes: u64,
+    ) {
+        let lane = format!("r{}.comm", inner.comm.rank());
+        inner.trace.record(lane, self.parts().1, start, end);
+        self.child(inner, ids, start, end, bytes);
+    }
+}
+
+/// What a traced machine reports when it settles: its envelope, and the
+/// (sent, received) payload bytes the obs counters credit on success.
+pub(crate) struct Report<'a> {
+    pub inner: &'a Inner,
+    pub ids: &'a ChildIds,
+    pub submit_ns: SimNs,
+    pub envelope: Envelope,
+    pub moved: (u64, u64),
+}
+
+/// [`settle_op`]'s `slot` argument for machines nobody blocks on.
+pub(crate) const NO_SLOT: Option<(&Monitor<()>, ())> = None;
+
+/// The one settlement path of every engine machine, in this order: fill
+/// the blocked caller's result slot, record the `op.*` envelope (`report`;
+/// the untraced file commands have none), count the settlement, then
+/// settle the event through the one status mapping — success completes
+/// it, a poisoned wait list fails it with −14, and any other error with
+/// `CL_MPI_TRANSFER_ERROR`. Returns the machine's final verdict.
+pub(crate) fn settle_op<T>(
+    slot: Option<(&Monitor<T>, T)>,
+    report: Option<Report<'_>>,
+    ue: Option<&UserEvent>,
+    outcome: ClResult<()>,
+    at: SimNs,
+) -> Step {
+    if let Some((slot, value)) = slot {
+        slot.with(|s| *s = value);
+    }
+    let ok = outcome.is_ok();
+    if let Some(r) = report {
+        record_envelope(r.inner, r.ids, r.envelope, r.submit_ns, at, ok);
+        let (sent, received) = if ok { r.moved } else { (0, 0) };
+        r.inner.note_settled(ok, sent, received);
+    }
+    if let Some(ue) = ue {
+        let settled = match outcome {
+            Ok(()) => ue.set_complete(at),
+            Err(ClError::EventFailed { .. }) => {
+                ue.set_failed(at, EXEC_STATUS_ERROR_FOR_EVENTS_IN_WAIT_LIST)
+            }
+            Err(_) => ue.set_failed(at, CL_MPI_TRANSFER_ERROR),
+        };
+        settled.expect("an engine machine settles its event once");
+    }
+    Step::Done
+}
+
+/// True for an outcome that says something about the transfer strategy
+/// that ran: a transfer-level failure retires a probed candidate in the
+/// tuners, a poisoned wait list does not.
+pub(crate) fn strategy_failed(outcome: &ClResult<()>) -> bool {
+    matches!(outcome, Err(e) if !matches!(e, ClError::EventFailed { .. }))
 }
 
 /// One wire chunk injected reliably: on sender-observed loss (the
@@ -583,10 +706,7 @@ impl ReliableChunkSend {
             // Fail the transfer now — this is what keeps
             // machines from hanging out a full retry budget per
             // chunk after a rank failure.
-            if let Some(stats) = inner.stats.lock().as_ref() {
-                stats.note_proc_failure();
-            }
-            record_failure(inner, ids, self.dst, done);
+            note_abort(inner, ids, Some(self.dst), done);
             self.peer_dead = true;
             self.state = ChunkState::Failed { at: done };
             return ChunkStep::Progressed;
@@ -622,9 +742,7 @@ impl ReliableChunkSend {
             );
         }
         if self.attempt == self.policy.max_attempts {
-            if let Some(stats) = inner.stats.lock().as_ref() {
-                stats.note_failure();
-            }
+            note_abort(inner, ids, None, done);
             self.state = ChunkState::Failed { at: done };
             return ChunkStep::Progressed;
         }
@@ -653,6 +771,115 @@ impl ReliableChunkSend {
             resume_at: done.saturating_add(backoff),
         };
         ChunkStep::Progressed
+    }
+}
+
+/// One wire chunk received patiently: the posted matched receive plus,
+/// under a fault plan, the per-chunk patience read from the retry policy
+/// when it was posted (never armed on a perfect fabric, which keeps the
+/// zero-fault path waiting indefinitely, like a blocking receive). The
+/// receive-side pair of [`ReliableChunkSend`], and the one place the
+/// receive-abort ladder runs.
+pub(crate) struct ReliableChunkRecv {
+    /// `None` once the ladder abandoned the receive.
+    req: Option<Request>,
+    tag: Tag,
+    /// (expiry instant, patience).
+    deadline: Option<(SimNs, SimNs)>,
+}
+
+/// Verdict of one [`ReliableChunkRecv::step`].
+pub(crate) enum RecvStep {
+    /// The chunk arrived.
+    Arrived(RecvResult),
+    /// Nothing to do yet; the wake hint.
+    Park(Option<SimNs>),
+    /// The receive was abandoned at the current instant: cancelled,
+    /// counted, and (for a dead peer) recorded as an `op.failure` span.
+    Failed(ClError),
+}
+
+impl ReliableChunkRecv {
+    /// Post the matched receive at `now`; `src: None` matches any source.
+    pub(crate) fn post(
+        inner: &Inner,
+        actor: &Actor,
+        src: Option<Rank>,
+        tag: Tag,
+        now: SimNs,
+    ) -> Self {
+        let deadline = inner.comm.world().has_faults().then(|| {
+            let patience = inner.retry.lock().chunk_timeout_ns;
+            (now + patience, patience)
+        });
+        ReliableChunkRecv {
+            req: Some(inner.comm.irecv(actor, src, Some(tag))),
+            tag,
+            deadline,
+        }
+    }
+
+    /// Withdraw the receive so the matcher does not hand a later message
+    /// to a machine that gave up.
+    pub(crate) fn cancel(&mut self) {
+        if let Some(req) = self.req.take() {
+            req.cancel();
+        }
+    }
+
+    /// Run the receive-abort ladder at `now`, in order:
+    /// 1. the chunk arrived → its payload;
+    /// 2. matched and in flight → park until the committed arrival, even
+    ///    past the deadline (retrying a message the fabric already
+    ///    delivered would duplicate it);
+    /// 3. an `upstream` process is dead and nothing is in flight → no
+    ///    chunk can ever match: abort now instead of waiting out the
+    ///    patience (ULFM lets a failed peer fail pending communication);
+    /// 4. the patience expired → give up;
+    /// 5. otherwise park until the deadline or the next scheduled death of
+    ///    an upstream rank, so a kill is noticed the instant it happens.
+    ///
+    /// `noun` names the receive in the error text; it is passed the dead
+    /// rank on a process failure.
+    pub(crate) fn step(
+        &mut self,
+        inner: &Inner,
+        ids: &mut ChildIds,
+        actor: &Actor,
+        now: SimNs,
+        upstream: &[Rank],
+        noun: impl Fn(Option<Rank>) -> String,
+    ) -> RecvStep {
+        let Some(req) = self.req.as_mut() else {
+            return RecvStep::Park(None);
+        };
+        if let Some(r) = req.test(actor).flatten() {
+            return RecvStep::Arrived(r);
+        }
+        if let Some(at) = req.known_completion() {
+            return RecvStep::Park(Some(at.max(now + 1)));
+        }
+        if let Some(&dead) = upstream.iter().find(|&&r| inner.peer_failed(r, now)) {
+            self.cancel();
+            note_abort(inner, ids, Some(dead), now);
+            let e = MpiError::ProcFailed { rank: dead };
+            let what = format!("{} (tag {}): {e}", noun(Some(dead)), self.tag);
+            return RecvStep::Failed(ClError::TransferFailed(what));
+        }
+        match self.deadline {
+            Some((at, patience)) if now >= at => {
+                self.cancel();
+                note_abort(inner, ids, None, now);
+                let e = MpiError::Timeout {
+                    waited_ns: patience,
+                };
+                let what = format!("{} (tag {}) gave up: {e}", noun(None), self.tag);
+                RecvStep::Failed(ClError::TransferFailed(what))
+            }
+            deadline => {
+                RecvStep::Park(inner.park_until_failure(upstream, now, deadline.map(|d| d.0)))
+            }
+        }
     }
 }
 
@@ -688,41 +915,46 @@ pub(crate) struct SendOp {
     ids: ChildIds,
     submit_ns: SimNs,
     state: SendState,
-}
-
-enum SendState {
-    WaitDeps,
-    // Boxed: the in-flight chunk machine dwarfs the other variants.
-    // With a device-pack lowering each chunk first runs a PackStage (a
-    // pack kernel reserved on the compute timeline) before its d2h hop;
-    // the reservation is backdated, so chunk k's pack overlaps chunk
-    // k−1's wire time without the machine ever blocking.
-    Transfer(Box<SendTransfer>),
-    Finish { done_at: SimNs },
-    Done,
-}
-
-struct SendTransfer {
+    /// Transfer start: the instant the wait list was satisfied.
     t0: SimNs,
+    /// The strategy's chunk plan and the index of the next chunk to arm.
     chunks: Vec<(usize, usize)>,
     next_chunk: usize,
-    first: bool,
-    /// The in-flight chunk and the trace spans to record once it lands.
+    /// The in-flight chunk and the stage spans to record once it lands.
     current: Option<(ReliableChunkSend, ChunkTrace)>,
+    /// End of the last delivered injection.
     done_at: SimNs,
 }
 
-enum ChunkTrace {
-    /// Mapped path: one fused map+send span from `t0`.
-    Mapped { t0: SimNs },
-    /// Staged path: the d2h span, then a net span from `d2h.1`.
-    Staged { d2h: (SimNs, SimNs) },
-    /// Device-pack path: the pack-kernel span, its d2h hop, then the net
-    /// span from `d2h.1`.
-    Packed {
-        pack: (SimNs, SimNs),
-        d2h: (SimNs, SimNs),
+#[derive(Clone, Copy)]
+enum SendState {
+    WaitDeps,
+    /// Chunks flow d2h then onto the wire, one reliable injection at a
+    /// time. With a device-pack lowering each chunk first runs a pack
+    /// kernel reserved on the compute timeline; the reservations are
+    /// backdated, so chunk k's pack overlaps chunk k−1's wire time
+    /// without the machine ever blocking.
+    Transfer,
+    Finish {
+        done_at: SimNs,
     },
+}
+
+/// The stages a chunk crossed before the wire, and its wire stage from
+/// `wire_from` to the delivered injection's end.
+struct ChunkTrace {
+    staged: Vec<(Stage, SimNs, SimNs)>,
+    wire: Stage,
+    wire_from: SimNs,
+}
+
+impl ChunkTrace {
+    fn record(self, inner: &Inner, ids: &mut ChildIds, done: SimNs, bytes: u64) {
+        for (stage, start, end) in self.staged {
+            stage.record(inner, ids, start, end, bytes);
+        }
+        self.wire.record(inner, ids, self.wire_from, done, bytes);
+    }
 }
 
 impl SendOp {
@@ -763,71 +995,159 @@ impl SendOp {
             ids,
             submit_ns,
             state: SendState::WaitDeps,
+            t0: 0,
+            chunks: Vec::new(),
+            next_chunk: 0,
+            current: None,
+            done_at: 0,
         }
     }
 
     /// Gather the packed range `[lo, hi)` of the lowered type out of the
     /// device buffer (the simulated pack kernel's data movement; timing
     /// is charged separately on the relevant resource timeline).
-    /// Associated fn: callable while `self.state` is mutably borrowed.
-    fn gather_packed(
-        buf: &Buffer,
-        offset: usize,
-        ty: &CommittedType,
-        lo: usize,
-        hi: usize,
-    ) -> Vec<u8> {
+    fn gather_packed(&self, ty: &CommittedType, lo: usize, hi: usize) -> Vec<u8> {
         let mut out = Vec::with_capacity(hi - lo);
         for (soff, slen) in ty.segments_for_packed_range(lo, hi) {
             out.extend_from_slice(
-                &buf.load(offset + soff, slen)
+                &self
+                    .buf
+                    .load(self.offset + soff, slen)
                     .expect("range checked at enqueue"),
             );
         }
         out
     }
 
-    fn settle(&mut self, outcome: ClResult<()>, at: SimNs) -> Step {
-        if let Some(slot) = &self.result {
-            slot.with(|s| *s = Some(outcome.clone()));
+    /// Stage the next chunk and arm its reliable injection. The mapped
+    /// path maps the whole region once and the NIC streams straight
+    /// through PCIe, fused with the injection. The staged paths move one
+    /// chunk d2h (pinned staging) and inject from the host copy, so a
+    /// retransmit never repeats the staging (or any pack kernel).
+    fn arm(&mut self) -> (ReliableChunkSend, ChunkTrace) {
+        let pcie = self.device.spec().pcie;
+        let t0 = self.t0;
+        if self.strategy == TransferStrategy::Mapped {
+            let bytes = self
+                .buf
+                .load(self.offset, self.size)
+                .expect("range checked at enqueue");
+            let stream = (self.size as f64 * 1e9 / pcie.mapped_bps).round() as SimNs;
+            let fused = self
+                .inner
+                .cfg
+                .cluster
+                .link
+                .injection_ns(self.size)
+                .max(stream);
+            self.next_chunk = self.chunks.len(); // single fused transfer
+            let earliest = t0 + pcie.map_setup_ns;
+            let send = ReliableChunkSend::new(
+                &self.inner,
+                self.dst,
+                self.wire_tag,
+                bytes,
+                earliest,
+                Some(fused),
+            );
+            let trace = ChunkTrace {
+                staged: Vec::new(),
+                wire: Stage::MapSend(self.dst),
+                wire_from: t0,
+            };
+            return (send, trace);
         }
-        let ok = outcome.is_ok();
+        let (coff, clen) = self.chunks[self.next_chunk];
+        let earliest = if self.next_chunk == 0 {
+            t0 + pcie.pin_setup_ns
+        } else {
+            t0
+        };
+        self.next_chunk += 1;
+        let d2h = self.device.d2h_link();
+        let (bytes, staged) = match &self.lowering {
+            None => {
+                let bytes = self
+                    .buf
+                    .load(self.offset + coff, clen)
+                    .expect("range checked at enqueue");
+                let hop = d2h.reserve_duration(pcie.staged_ns(clen, true), earliest);
+                (bytes, vec![(Stage::D2h, hop.start, hop.end)])
+            }
+            Some(l) if l.mode == PackMode::HostPack => {
+                // Host-pack baseline: the type map is gathered segment-by-
+                // segment across PCIe — every segment pays the staged
+                // latency.
+                let cost = l.host_staged_ns(&pcie, coff, coff + clen);
+                let bytes = self.gather_packed(&l.ty, coff, coff + clen);
+                let hop = d2h.reserve_duration(cost, earliest);
+                (bytes, vec![(Stage::D2h, hop.start, hop.end)])
+            }
+            Some(l) => {
+                // PackStage: an on-device pack kernel canonicalizes this
+                // chunk's type-map slice into contiguous staging memory
+                // (reads strided + writes packed = 2× the bytes through
+                // device memory), then a single d2h hop moves the packed
+                // bytes.
+                let kernel = self.device.spec().membound_kernel_ns(2 * clen);
+                let pack = self.device.pack_link().reserve_duration(kernel, earliest);
+                let bytes = self.gather_packed(&l.ty, coff, coff + clen);
+                let hop = d2h.reserve_duration(pcie.staged_ns(clen, true), pack.end);
+                let stages = vec![
+                    (Stage::Pack, pack.start, pack.end),
+                    (Stage::D2h, hop.start, hop.end),
+                ];
+                (bytes, stages)
+            }
+        };
+        let wire_from = staged.last().map_or(t0, |s| s.2);
+        let send =
+            ReliableChunkSend::new(&self.inner, self.dst, self.wire_tag, bytes, wire_from, None);
+        let trace = ChunkTrace {
+            staged,
+            wire: Stage::Net(self.dst),
+            wire_from,
+        };
+        (send, trace)
+    }
+
+    /// Every chunk delivered: feed the measurement back and finish at the
+    /// last injection's end.
+    fn transferred(&mut self, done_at: SimNs) {
+        let elapsed = done_at.saturating_sub(self.t0);
+        if let Some(stats) = self.inner.stats.lock().as_ref() {
+            stats.record("send", &self.strategy.name(), self.size, elapsed);
+        }
+        if let Some(sel) = self.inner.adaptive.lock().as_ref() {
+            sel.observe(self.size, self.strategy, elapsed);
+        }
+        self.state = SendState::Finish { done_at };
+    }
+
+    fn settle(&mut self, outcome: ClResult<()>, at: SimNs) -> Step {
         // A transfer-level failure is a completed (failed) probe: report
         // it so the adaptive tuner retires the strategy instead of
-        // starving on it. A poisoned wait list says nothing about the
-        // strategy, so it is not reported.
-        if !ok && !matches!(outcome, Err(ClError::EventFailed { .. })) {
+        // starving on it.
+        if strategy_failed(&outcome) {
             if let Some(sel) = self.inner.adaptive.lock().as_ref() {
                 sel.observe_failure(self.size, self.strategy);
             }
         }
-        record_envelope(
-            &self.inner,
-            &self.ids,
-            "op.send",
-            format!("send→{}#{}", self.dst, self.user_tag),
-            self.submit_ns,
-            at,
-            self.size as u64,
-            ok,
-            Some(self.dst),
-            Some(self.wire_tag),
-        );
-        self.inner
-            .note_settled(ok, if ok { self.size as u64 } else { 0 }, 0);
-        match outcome {
-            Ok(()) => self.ue.set_complete(at).expect("send event completed once"),
-            Err(ClError::EventFailed { .. }) => self
-                .ue
-                .set_failed(at, EXEC_STATUS_ERROR_FOR_EVENTS_IN_WAIT_LIST)
-                .expect("send event settled once"),
-            Err(_) => self
-                .ue
-                .set_failed(at, CL_MPI_TRANSFER_ERROR)
-                .expect("send event settled once"),
-        }
-        self.state = SendState::Done;
-        Step::Done
+        let report = Report {
+            inner: &self.inner,
+            ids: &self.ids,
+            submit_ns: self.submit_ns,
+            envelope: Envelope {
+                cat: "op.send",
+                name: format!("send→{}#{}", self.dst, self.user_tag),
+                bytes: self.size as u64,
+                peer: Some(self.dst),
+                tag: Some(self.wire_tag),
+            },
+            moved: (self.size as u64, 0),
+        };
+        let slot = self.result.as_deref().map(|s| (s, Some(outcome.clone())));
+        settle_op(slot, Some(report), Some(&self.ue), outcome, at)
     }
 }
 
@@ -838,347 +1158,61 @@ impl EngineOp for SendOp {
 
     fn step(&mut self, now: SimNs, actor: &Actor) -> Step {
         loop {
-            match &mut self.state {
-                SendState::WaitDeps => match poll_deps(&self.wait) {
-                    WaitListStatus::Pending => return Step::Park(None),
-                    WaitListStatus::Failed { code, label } => {
-                        // A failed dependency poisons this command, as
-                        // the queue executor does for ordinary commands.
-                        return self.settle(Err(ClError::EventFailed { code, label }), now);
-                    }
-                    WaitListStatus::Ready => {
-                        let plan = ResolvedStrategy::plan(self.strategy, self.size);
-                        self.state = SendState::Transfer(Box::new(SendTransfer {
-                            t0: now,
-                            chunks: plan.chunks,
-                            next_chunk: 0,
-                            first: true,
-                            current: None,
-                            done_at: now,
-                        }));
+            match self.state {
+                SendState::WaitDeps => match deps_ready(&self.wait) {
+                    Ok(false) => return Step::Park(None),
+                    // A failed dependency poisons this command, as the
+                    // queue executor does for ordinary commands.
+                    Err(e) => return self.settle(Err(e), now),
+                    Ok(true) => {
+                        self.t0 = now;
+                        self.chunks = ResolvedStrategy::plan(self.strategy, self.size).chunks;
+                        if self.chunks.is_empty() && self.strategy != TransferStrategy::Mapped {
+                            // Zero-byte staged send: nothing to inject.
+                            self.transferred(now);
+                        } else {
+                            self.state = SendState::Transfer;
+                        }
                     }
                 },
-                SendState::Transfer(tr) => {
-                    if tr.current.is_none()
-                        && tr.first
-                        && tr.next_chunk >= tr.chunks.len()
-                        && !matches!(self.strategy, TransferStrategy::Mapped)
-                    {
-                        // Zero-byte staged send: nothing to inject.
-                        let (t0, done_at) = (tr.t0, tr.done_at);
-                        if let Some(stats) = self.inner.stats.lock().as_ref() {
-                            stats.record(
-                                "send",
-                                &self.strategy.name(),
-                                self.size,
-                                done_at.saturating_sub(t0),
-                            );
-                        }
-                        if let Some(sel) = self.inner.adaptive.lock().as_ref() {
-                            sel.observe(self.size, self.strategy, done_at.saturating_sub(t0));
-                        }
-                        self.state = SendState::Finish { done_at };
-                        continue;
-                    }
-                    if tr.current.is_none() {
-                        let pcie = self.device.spec().pcie;
-                        let (chunk, spans) = match self.strategy {
-                            TransferStrategy::Mapped => {
-                                // Map the whole region once; the NIC
-                                // streams straight through PCIe, fused
-                                // with the injection.
-                                let bytes = self
-                                    .buf
-                                    .load(self.offset, self.size)
-                                    .expect("range checked at enqueue");
-                                let stream =
-                                    (self.size as f64 * 1e9 / pcie.mapped_bps).round() as SimNs;
-                                let fused = self
-                                    .inner
-                                    .cfg
-                                    .cluster
-                                    .link
-                                    .injection_ns(self.size)
-                                    .max(stream);
-                                tr.next_chunk = tr.chunks.len(); // single fused transfer
-                                (
-                                    ReliableChunkSend::new(
-                                        &self.inner,
-                                        self.dst,
-                                        self.wire_tag,
-                                        bytes,
-                                        tr.t0 + pcie.map_setup_ns,
-                                        Some(fused),
-                                    ),
-                                    ChunkTrace::Mapped { t0: tr.t0 },
-                                )
-                            }
-                            TransferStrategy::Pinned | TransferStrategy::Pipelined(_) => {
-                                // Staged path: chunks flow d2h (pinned
-                                // staging) then network. Retransmits
-                                // re-inject from the host staging copy —
-                                // the d2h stage (and any pack kernel) is
-                                // not repeated.
-                                let (coff, clen) = tr.chunks[tr.next_chunk];
-                                tr.next_chunk += 1;
-                                let earliest = if tr.first {
-                                    tr.t0 + pcie.pin_setup_ns
-                                } else {
-                                    tr.t0
-                                };
-                                tr.first = false;
-                                match &self.lowering {
-                                    None => {
-                                        let bytes = self
-                                            .buf
-                                            .load(self.offset + coff, clen)
-                                            .expect("range checked at enqueue");
-                                        let d2h = self
-                                            .device
-                                            .d2h_link()
-                                            .reserve_duration(pcie.staged_ns(clen, true), earliest);
-                                        (
-                                            ReliableChunkSend::new(
-                                                &self.inner,
-                                                self.dst,
-                                                self.wire_tag,
-                                                bytes,
-                                                d2h.end,
-                                                None,
-                                            ),
-                                            ChunkTrace::Staged {
-                                                d2h: (d2h.start, d2h.end),
-                                            },
-                                        )
-                                    }
-                                    Some(l) if l.mode == PackMode::HostPack => {
-                                        // Host-pack baseline: the type
-                                        // map is gathered segment-by-
-                                        // segment across PCIe — every
-                                        // segment pays the staged
-                                        // latency.
-                                        let cost = l.host_staged_ns(&pcie, coff, coff + clen);
-                                        let bytes = Self::gather_packed(
-                                            &self.buf,
-                                            self.offset,
-                                            &l.ty,
-                                            coff,
-                                            coff + clen,
-                                        );
-                                        let d2h =
-                                            self.device.d2h_link().reserve_duration(cost, earliest);
-                                        (
-                                            ReliableChunkSend::new(
-                                                &self.inner,
-                                                self.dst,
-                                                self.wire_tag,
-                                                bytes,
-                                                d2h.end,
-                                                None,
-                                            ),
-                                            ChunkTrace::Staged {
-                                                d2h: (d2h.start, d2h.end),
-                                            },
-                                        )
-                                    }
-                                    Some(_) => {
-                                        // PackStage: an on-device pack
-                                        // kernel canonicalizes this
-                                        // chunk's type-map slice into
-                                        // contiguous staging memory
-                                        // (reads strided + writes packed
-                                        // = 2× the bytes through device
-                                        // memory), then a single d2h hop
-                                        // moves the packed bytes. Both
-                                        // are backdated reservations, so
-                                        // chunk k's pack overlaps chunk
-                                        // k−1's wire time.
-                                        let spec = self.device.spec();
-                                        let pack = self.device.pack_link().reserve_duration(
-                                            spec.membound_kernel_ns(2 * clen),
-                                            earliest,
-                                        );
-                                        let l = self.lowering.as_ref().expect("lowered op");
-                                        let bytes = Self::gather_packed(
-                                            &self.buf,
-                                            self.offset,
-                                            &l.ty,
-                                            coff,
-                                            coff + clen,
-                                        );
-                                        let d2h = self
-                                            .device
-                                            .d2h_link()
-                                            .reserve_duration(pcie.staged_ns(clen, true), pack.end);
-                                        (
-                                            ReliableChunkSend::new(
-                                                &self.inner,
-                                                self.dst,
-                                                self.wire_tag,
-                                                bytes,
-                                                d2h.end,
-                                                None,
-                                            ),
-                                            ChunkTrace::Packed {
-                                                pack: (pack.start, pack.end),
-                                                d2h: (d2h.start, d2h.end),
-                                            },
-                                        )
-                                    }
-                                }
-                            }
-                            TransferStrategy::Auto | TransferStrategy::Rma => {
-                                unreachable!("strategy resolved before dispatch; rma is one-sided")
-                            }
-                        };
-                        tr.current = Some((chunk, spans));
-                    }
-                    let (chunk, _) = tr.current.as_mut().expect("chunk armed above");
+                SendState::Transfer => {
+                    let (mut chunk, trace) = match self.current.take() {
+                        Some(c) => c,
+                        None => self.arm(),
+                    };
                     match chunk.step(&self.inner, &mut self.ids, now, actor) {
-                        ChunkStep::Progressed => continue,
-                        ChunkStep::Park(t) => return Step::Park(Some(t)),
+                        ChunkStep::Progressed => self.current = Some((chunk, trace)),
+                        ChunkStep::Park(t) => {
+                            self.current = Some((chunk, trace));
+                            return Step::Park(Some(t));
+                        }
                         ChunkStep::Failed(at) => {
-                            let (chunk, _) = tr.current.take().expect("chunk present");
-                            return self.settle(Err(chunk.exhaustion_error()), at);
+                            return self.settle(Err(chunk.exhaustion_error()), at)
                         }
                         ChunkStep::Sent(done) => {
-                            let lane = format!("r{}.comm", self.inner.comm.rank());
-                            let (chunk, spans) = tr.current.take().expect("chunk present");
-                            let clen = chunk.bytes.len() as u64;
-                            match spans {
-                                ChunkTrace::Mapped { t0 } => {
-                                    self.inner.trace.record(
-                                        lane.as_str(),
-                                        format!("map+send→{}", self.dst),
-                                        t0,
-                                        done,
-                                    );
-                                    record_child(
-                                        &self.inner,
-                                        &mut self.ids,
-                                        "net",
-                                        format!("map+send→{}", self.dst),
-                                        "chunk",
-                                        t0,
-                                        done,
-                                        clen,
-                                        true,
-                                    );
-                                }
-                                ChunkTrace::Staged { d2h } => {
-                                    self.inner.trace.record(lane.as_str(), "d2h", d2h.0, d2h.1);
-                                    self.inner.trace.record(
-                                        lane.as_str(),
-                                        format!("net→{}", self.dst),
-                                        d2h.1,
-                                        done,
-                                    );
-                                    record_child(
-                                        &self.inner,
-                                        &mut self.ids,
-                                        "dev",
-                                        "d2h".into(),
-                                        "stage.d2h",
-                                        d2h.0,
-                                        d2h.1,
-                                        clen,
-                                        true,
-                                    );
-                                    record_child(
-                                        &self.inner,
-                                        &mut self.ids,
-                                        "net",
-                                        format!("net→{}", self.dst),
-                                        "chunk",
-                                        d2h.1,
-                                        done,
-                                        clen,
-                                        true,
-                                    );
-                                }
-                                ChunkTrace::Packed { pack, d2h } => {
-                                    self.inner
-                                        .trace
-                                        .record(lane.as_str(), "pack", pack.0, pack.1);
-                                    self.inner.trace.record(lane.as_str(), "d2h", d2h.0, d2h.1);
-                                    self.inner.trace.record(
-                                        lane.as_str(),
-                                        format!("net→{}", self.dst),
-                                        d2h.1,
-                                        done,
-                                    );
-                                    record_child(
-                                        &self.inner,
-                                        &mut self.ids,
-                                        "dev",
-                                        "pack".into(),
-                                        "stage.pack",
-                                        pack.0,
-                                        pack.1,
-                                        clen,
-                                        true,
-                                    );
-                                    record_child(
-                                        &self.inner,
-                                        &mut self.ids,
-                                        "dev",
-                                        "d2h".into(),
-                                        "stage.d2h",
-                                        d2h.0,
-                                        d2h.1,
-                                        clen,
-                                        true,
-                                    );
-                                    record_child(
-                                        &self.inner,
-                                        &mut self.ids,
-                                        "net",
-                                        format!("net→{}", self.dst),
-                                        "chunk",
-                                        d2h.1,
-                                        done,
-                                        clen,
-                                        true,
-                                    );
-                                }
+                            trace.record(&self.inner, &mut self.ids, done, chunk.len() as u64);
+                            self.done_at = done;
+                            // Arm the next chunk at this instant, if any.
+                            if self.next_chunk == self.chunks.len() {
+                                self.transferred(done);
                             }
-                            tr.done_at = done;
-                            if tr.next_chunk < tr.chunks.len() {
-                                continue; // arm the next chunk at this instant
-                            }
-                            let (t0, done_at) = (tr.t0, tr.done_at);
-                            if let Some(stats) = self.inner.stats.lock().as_ref() {
-                                stats.record(
-                                    "send",
-                                    &self.strategy.name(),
-                                    self.size,
-                                    done_at.saturating_sub(t0),
-                                );
-                            }
-                            if let Some(sel) = self.inner.adaptive.lock().as_ref() {
-                                sel.observe(self.size, self.strategy, done_at.saturating_sub(t0));
-                            }
-                            self.state = SendState::Finish { done_at };
                         }
                     }
                 }
                 SendState::Finish { done_at } => {
-                    let done_at = *done_at;
                     if now >= done_at {
                         return self.settle(Ok(()), done_at);
                     }
                     return Step::Park(Some(done_at));
                 }
-                SendState::Done => return Step::Done,
             }
         }
     }
 }
 
 /// `clEnqueueRecvBuffer` as a state machine: wait list → staging setup →
-/// per-chunk matched receive (with the retry policy's patience under a
-/// fault plan) → host→device staging → completion with the data in
-/// device memory.
+/// per-chunk patient matched receive → host→device staging → completion
+/// with the data in device memory.
 pub(crate) struct RecvOp {
     inner: Arc<Inner>,
     device: Device,
@@ -1211,24 +1245,13 @@ enum RecvState {
     Setup {
         resume_at: SimNs,
     },
-    /// A posted matched-receive; `deadline` is the per-chunk patience
-    /// under a fault plan (never set on a perfect fabric, keeping the
-    /// zero-fault path exactly the seed's).
-    AwaitChunk {
-        req: Request,
-        deadline: Option<(SimNs, SimNs)>, // (expiry instant, patience)
-    },
-    /// Staged path: the chunk is crossing PCIe until `end`.
+    AwaitChunk(ReliableChunkRecv),
+    /// Staged path: the chunk is crossing one staging hop until `end` —
+    /// PCIe (`H2d`), then, under a device-unpack lowering, an unpack
+    /// kernel (`Unpack`, reserved on the compute timeline so it
+    /// serializes with the app's own kernels).
     Stage {
-        data: Vec<u8>,
-        start: SimNs,
-        end: SimNs,
-    },
-    /// Device-unpack lowering: the packed chunk landed in device staging
-    /// memory at the end of its h2d hop; an unpack kernel scatters it
-    /// through the type map until `end` (reserved on the compute
-    /// timeline, so it serializes with the app's own kernels).
-    UnpackStage {
+        stage: Stage,
         data: Vec<u8>,
         start: SimNs,
         end: SimNs,
@@ -1285,10 +1308,9 @@ impl RecvOp {
 
     /// Scatter an arrived packed chunk (packed offset `lo`) into the
     /// strided destination region through the type map.
-    fn scatter_packed(&self, lo: usize, data: &[u8]) {
-        let l = self.lowering.as_ref().expect("lowered op");
+    fn scatter_packed(&self, ty: &CommittedType, lo: usize, data: &[u8]) {
         let mut pos = 0usize;
-        for (soff, slen) in l.ty.segments_for_packed_range(lo, lo + data.len()) {
+        for (soff, slen) in ty.segments_for_packed_range(lo, lo + data.len()) {
             self.buf
                 .store(self.offset + soff, &data[pos..pos + slen])
                 .expect("range checked at enqueue");
@@ -1297,69 +1319,39 @@ impl RecvOp {
     }
 
     fn settle(&mut self, outcome: ClResult<()>, at: SimNs) -> Step {
-        if let Some(slot) = &self.result {
-            slot.with(|s| *s = Some(outcome.clone()));
-        }
-        let ok = outcome.is_ok();
         // As on the send side: a transfer failure (receiver timeout,
-        // overflow) retires the probed strategy; a poisoned wait list
-        // does not.
-        if !ok && !matches!(outcome, Err(ClError::EventFailed { .. })) {
+        // overflow) retires the probed strategy.
+        if strategy_failed(&outcome) {
             if let Some(sel) = self.inner.adaptive.lock().as_ref() {
                 sel.observe_failure(self.size, self.strategy);
             }
         }
-        record_envelope(
-            &self.inner,
-            &self.ids,
-            "op.recv",
-            format!("recv←{}#{}", self.src, self.user_tag),
-            self.submit_ns,
-            at,
-            self.size as u64,
-            ok,
-            Some(self.src),
-            Some(self.wire_tag),
-        );
-        self.inner
-            .note_settled(ok, 0, if ok { self.size as u64 } else { 0 });
-        match outcome {
-            Ok(()) => self.ue.set_complete(at).expect("recv event completed once"),
-            Err(ClError::EventFailed { .. }) => self
-                .ue
-                .set_failed(at, EXEC_STATUS_ERROR_FOR_EVENTS_IN_WAIT_LIST)
-                .expect("recv event settled once"),
-            Err(_) => self
-                .ue
-                .set_failed(at, CL_MPI_TRANSFER_ERROR)
-                .expect("recv event settled once"),
-        }
-        self.state = RecvState::Done;
-        Step::Done
-    }
-
-    /// Post the matched receive for the next wire chunk. On a perfect
-    /// fabric the machine waits indefinitely (the seed's blocking-recv
-    /// semantics); under a fault plan it applies the policy's per-chunk
-    /// patience, read per chunk as the old path did.
-    fn post_chunk(&mut self, now: SimNs, actor: &Actor) {
-        let req = self
-            .inner
-            .comm
-            .irecv(actor, Some(self.src), Some(self.wire_tag));
-        let deadline = self.inner.comm.world().has_faults().then(|| {
-            let patience = self.inner.retry.lock().chunk_timeout_ns;
-            (now + patience, patience)
-        });
-        self.state = RecvState::AwaitChunk { req, deadline };
+        let report = Report {
+            inner: &self.inner,
+            ids: &self.ids,
+            submit_ns: self.submit_ns,
+            envelope: Envelope {
+                cat: "op.recv",
+                name: format!("recv←{}#{}", self.src, self.user_tag),
+                bytes: self.size as u64,
+                peer: Some(self.src),
+                tag: Some(self.wire_tag),
+            },
+            moved: (0, self.size as u64),
+        };
+        let slot = self.result.as_deref().map(|s| (s, Some(outcome.clone())));
+        settle_op(slot, Some(report), Some(&self.ue), outcome, at)
     }
 
     /// Store a fully arrived-and-staged chunk, then either post the next
-    /// receive or finish the command.
+    /// receive (with the retry policy's patience, read per chunk) or
+    /// finish the command.
     fn chunk_done(&mut self, len: usize, now: SimNs, actor: &Actor) -> Option<Step> {
         self.received += len;
         if self.received < self.size {
-            self.post_chunk(now, actor);
+            let recv =
+                ReliableChunkRecv::post(&self.inner, actor, Some(self.src), self.wire_tag, now);
+            self.state = RecvState::AwaitChunk(recv);
             return None;
         }
         if self.strategy == TransferStrategy::Mapped {
@@ -1375,16 +1367,12 @@ impl RecvOp {
     }
 
     fn finish(&mut self, now: SimNs) -> Step {
+        let elapsed = now.saturating_sub(self.recv_t0);
         if let Some(stats) = self.inner.stats.lock().as_ref() {
-            stats.record(
-                "recv",
-                &self.strategy.name(),
-                self.size,
-                now.saturating_sub(self.recv_t0),
-            );
+            stats.record("recv", &self.strategy.name(), self.size, elapsed);
         }
         if let Some(sel) = self.inner.adaptive.lock().as_ref() {
-            sel.observe(self.size, self.strategy, now.saturating_sub(self.recv_t0));
+            sel.observe(self.size, self.strategy, elapsed);
         }
         self.settle(Ok(()), now)
     }
@@ -1398,22 +1386,15 @@ impl EngineOp for RecvOp {
     fn step(&mut self, now: SimNs, actor: &Actor) -> Step {
         loop {
             match &mut self.state {
-                RecvState::WaitDeps => match poll_deps(&self.wait) {
-                    WaitListStatus::Pending => return Step::Park(None),
-                    WaitListStatus::Failed { code, label } => {
-                        return self.settle(Err(ClError::EventFailed { code, label }), now);
-                    }
-                    WaitListStatus::Ready => {
+                RecvState::WaitDeps => match deps_ready(&self.wait) {
+                    Ok(false) => return Step::Park(None),
+                    Err(e) => return self.settle(Err(e), now),
+                    Ok(true) => {
                         self.recv_t0 = now;
                         let pcie = self.device.spec().pcie;
                         let setup = match self.strategy {
                             TransferStrategy::Mapped => pcie.map_setup_ns,
-                            TransferStrategy::Pinned | TransferStrategy::Pipelined(_) => {
-                                pcie.pin_setup_ns
-                            }
-                            TransferStrategy::Auto | TransferStrategy::Rma => {
-                                unreachable!("strategy resolved before dispatch; rma is one-sided")
-                            }
+                            _ => pcie.pin_setup_ns,
                         };
                         self.state = RecvState::Setup {
                             resume_at: now + setup,
@@ -1431,186 +1412,94 @@ impl EngineOp for RecvOp {
                         return step;
                     }
                 }
-                RecvState::AwaitChunk { req, deadline } => {
-                    let deadline = *deadline;
-                    if let Some(result) = req.test(actor) {
-                        let r = result.expect("matched receive yields a payload");
-                        if self.received + r.data.len() > self.size {
-                            return self.settle(
-                                Err(ClError::TransferFailed(format!(
-                                    "clMPI transfer overflow: got {} bytes into a {}-byte receive",
-                                    self.received + r.data.len(),
-                                    self.size
-                                ))),
-                                now,
-                            );
-                        }
-                        match self.strategy {
-                            TransferStrategy::Mapped => {
-                                // Zero-copy: the NIC already wrote through
-                                // PCIe during the sender-fused stream; the
-                                // data is usable at arrival.
-                                self.buf
-                                    .store(self.offset + self.received, &r.data)
-                                    .expect("range checked at enqueue");
-                                if let Some(step) = self.chunk_done(r.data.len(), now, actor) {
-                                    return step;
-                                }
-                            }
-                            TransferStrategy::Pinned | TransferStrategy::Pipelined(_) => {
-                                let pcie = self.device.spec().pcie;
-                                // Host-unpack baseline: the chunk's
-                                // type-map segments are scattered one by
-                                // one across PCIe, each paying the
-                                // staged latency. Every other path moves
-                                // the packed bytes in one hop.
-                                let cost = match &self.lowering {
-                                    Some(l) if l.mode == PackMode::HostPack => l.host_staged_ns(
-                                        &pcie,
-                                        self.received,
-                                        self.received + r.data.len(),
-                                    ),
-                                    _ => pcie.staged_ns(r.data.len(), true),
-                                };
-                                let h2d = self.device.h2d_link().reserve_duration(cost, now);
-                                self.state = RecvState::Stage {
-                                    data: r.data,
-                                    start: h2d.start,
-                                    end: h2d.end,
-                                };
-                            }
-                            TransferStrategy::Auto | TransferStrategy::Rma => unreachable!(),
-                        }
-                    } else if let Some(at) = req.known_completion() {
-                        // Matched, in flight: the arrival instant is
-                        // committed (even past a deadline — retrying a
-                        // message the fabric already delivered would
-                        // duplicate it).
-                        return Step::Park(Some(at.max(now + 1)));
-                    } else if self.inner.peer_failed(self.src, now) {
-                        // The source process is dead and nothing is in
-                        // flight: no chunk can ever match. Abort now
-                        // instead of waiting out the chunk patience.
-                        let state = std::mem::replace(&mut self.state, RecvState::Done);
-                        if let RecvState::AwaitChunk { req, .. } = state {
-                            req.cancel();
-                        }
-                        if let Some(stats) = self.inner.stats.lock().as_ref() {
-                            stats.note_proc_failure();
-                        }
-                        record_failure(&self.inner, &mut self.ids, self.src, now);
+                RecvState::AwaitChunk(recv) => {
+                    let src = self.src;
+                    let noun = |_| format!("receive from rank {src}");
+                    let r = match recv.step(&self.inner, &mut self.ids, actor, now, &[src], noun) {
+                        RecvStep::Arrived(r) => r,
+                        RecvStep::Park(t) => return Step::Park(t),
+                        RecvStep::Failed(e) => return self.settle(Err(e), now),
+                    };
+                    let len = r.data.len();
+                    if self.received + len > self.size {
                         return self.settle(
                             Err(ClError::TransferFailed(format!(
-                                "receive from rank {} (tag {}): {}",
-                                self.src,
-                                self.wire_tag,
-                                MpiError::ProcFailed { rank: self.src }
+                                "clMPI transfer overflow: got {} bytes into a {}-byte receive",
+                                self.received + len,
+                                self.size
                             ))),
                             now,
                         );
-                    } else if let Some((at, patience)) = deadline {
-                        if now >= at {
-                            let state = std::mem::replace(&mut self.state, RecvState::Done);
-                            if let RecvState::AwaitChunk { req, .. } = state {
-                                req.cancel();
-                            }
-                            if let Some(stats) = self.inner.stats.lock().as_ref() {
-                                stats.note_failure();
-                            }
-                            let e = MpiError::Timeout {
-                                waited_ns: patience,
-                            };
-                            return self.settle(
-                                Err(ClError::TransferFailed(format!(
-                                    "receive from rank {} (tag {}) gave up: {e}",
-                                    self.src, self.wire_tag
-                                ))),
-                                now,
-                            );
+                    }
+                    if self.strategy == TransferStrategy::Mapped {
+                        // Zero-copy: the NIC already wrote through PCIe
+                        // during the sender-fused stream; the data is
+                        // usable at arrival.
+                        self.buf
+                            .store(self.offset + self.received, &r.data)
+                            .expect("range checked at enqueue");
+                        if let Some(step) = self.chunk_done(len, now, actor) {
+                            return step;
                         }
-                        return Step::Park(self.inner.park_until_failure(self.src, now, Some(at)));
-                    } else {
-                        return Step::Park(self.inner.park_until_failure(self.src, now, None));
+                        continue;
                     }
-                }
-                RecvState::Stage { end, .. } => {
-                    let end = *end;
-                    if now < end {
-                        return Step::Park(Some(end));
-                    }
-                    let state = std::mem::replace(&mut self.state, RecvState::Done);
-                    let RecvState::Stage { data, start, end } = state else {
-                        unreachable!("matched above")
+                    // Host-unpack baseline: the chunk's type-map segments
+                    // are scattered one by one across PCIe, each paying
+                    // the staged latency. Every other path moves the
+                    // packed bytes in one hop.
+                    let pcie = self.device.spec().pcie;
+                    let cost = match &self.lowering {
+                        Some(l) if l.mode == PackMode::HostPack => {
+                            l.host_staged_ns(&pcie, self.received, self.received + len)
+                        }
+                        _ => pcie.staged_ns(len, true),
                     };
-                    let lane = format!("r{}.comm", self.inner.comm.rank());
-                    self.inner.trace.record(lane.as_str(), "h2d", start, end);
-                    record_child(
-                        &self.inner,
-                        &mut self.ids,
-                        "dev",
-                        "h2d".into(),
-                        "stage.h2d",
+                    let h2d = self.device.h2d_link().reserve_duration(cost, now);
+                    self.state = RecvState::Stage {
+                        stage: Stage::H2d,
+                        data: r.data,
+                        start: h2d.start,
+                        end: h2d.end,
+                    };
+                }
+                RecvState::Stage { end, .. } if now < *end => return Step::Park(Some(*end)),
+                RecvState::Stage { .. } => {
+                    let state = std::mem::replace(&mut self.state, RecvState::Done);
+                    let RecvState::Stage {
+                        stage,
+                        data,
                         start,
                         end,
-                        data.len() as u64,
-                        true,
-                    );
-                    match &self.lowering {
-                        None => {
-                            self.buf
-                                .store(self.offset + self.received, &data)
-                                .expect("range checked at enqueue");
-                        }
-                        Some(l) if l.mode == PackMode::HostPack => {
-                            // The host already scattered segment-by-
-                            // segment during the h2d hop.
-                            self.scatter_packed(self.received, &data);
-                        }
-                        Some(_) => {
+                    } = state
+                    else {
+                        unreachable!("matched above")
+                    };
+                    stage.record(&self.inner, &mut self.ids, start, end, data.len() as u64);
+                    match (&self.lowering, stage) {
+                        (None, _) => self
+                            .buf
+                            .store(self.offset + self.received, &data)
+                            .expect("range checked at enqueue"),
+                        (Some(l), Stage::H2d) if l.mode != PackMode::HostPack => {
                             // UnpackStage: the packed chunk landed in
-                            // device staging memory; an unpack kernel
-                            // (2× the bytes through device memory)
-                            // scatters it through the type map.
-                            let spec = self.device.spec();
-                            let unpack = self
-                                .device
-                                .pack_link()
-                                .reserve_duration(spec.membound_kernel_ns(2 * data.len()), end);
-                            self.state = RecvState::UnpackStage {
+                            // device staging memory; an unpack kernel (2×
+                            // the bytes through device memory) scatters it
+                            // through the type map.
+                            let kernel = self.device.spec().membound_kernel_ns(2 * data.len());
+                            let unpack = self.device.pack_link().reserve_duration(kernel, end);
+                            self.state = RecvState::Stage {
+                                stage: Stage::Unpack,
                                 data,
                                 start: unpack.start,
                                 end: unpack.end,
                             };
                             continue;
                         }
+                        // Host-pack: the host scattered segment-by-segment
+                        // during the h2d hop; device-unpack: the kernel
+                        // just ran.
+                        (Some(l), _) => self.scatter_packed(&l.ty, self.received, &data),
                     }
-                    if let Some(step) = self.chunk_done(data.len(), now, actor) {
-                        return step;
-                    }
-                }
-                RecvState::UnpackStage { end, .. } => {
-                    let end = *end;
-                    if now < end {
-                        return Step::Park(Some(end));
-                    }
-                    let state = std::mem::replace(&mut self.state, RecvState::Done);
-                    let RecvState::UnpackStage { data, start, end } = state else {
-                        unreachable!("matched above")
-                    };
-                    self.scatter_packed(self.received, &data);
-                    let lane = format!("r{}.comm", self.inner.comm.rank());
-                    self.inner.trace.record(lane.as_str(), "unpack", start, end);
-                    record_child(
-                        &self.inner,
-                        &mut self.ids,
-                        "dev",
-                        "unpack".into(),
-                        "stage.unpack",
-                        start,
-                        end,
-                        data.len() as u64,
-                        true,
-                    );
                     if let Some(step) = self.chunk_done(data.len(), now, actor) {
                         return step;
                     }
@@ -1698,73 +1587,74 @@ impl HostSendOp {
         }
     }
 
-    /// Record the operation envelope and counters at settlement.
-    fn finish(&mut self, ok: bool, at: SimNs) {
-        record_envelope(
-            &self.inner,
-            &self.ids,
-            "op.isend",
-            format!("isend→{}", self.dst),
-            self.submit_ns,
+    /// Publish the last injection's end instant (or the exhaustion error)
+    /// to the request; the envelope ends no earlier than the submission.
+    fn settle(&mut self, result: ClResult<SimNs>, at: SimNs) -> Step {
+        let report = Report {
+            inner: &self.inner,
+            ids: &self.ids,
+            submit_ns: self.submit_ns,
+            envelope: Envelope {
+                cat: "op.isend",
+                name: format!("isend→{}", self.dst),
+                bytes: self.total_bytes,
+                peer: Some(self.dst),
+                tag: Some(self.wire_tag),
+            },
+            moved: (self.total_bytes, 0),
+        };
+        let outcome = result.clone().map(|_| ());
+        settle_op(
+            Some((&*self.slot, Some(result))),
+            Some(report),
+            None,
+            outcome,
             at,
-            self.total_bytes,
-            ok,
-            Some(self.dst),
-            Some(self.wire_tag),
-        );
-        self.inner
-            .note_settled(ok, if ok { self.total_bytes } else { 0 }, 0);
+        )
     }
 
     fn drive(&mut self, now: SimNs, actor: &Actor) -> Step {
         let t0 = *self.t0.get_or_insert(now);
         loop {
-            if self.current.is_none() {
-                if self.next_chunk == self.chunks.len() {
-                    self.finish(true, self.done_at.max(self.submit_ns));
-                    self.slot.with(|s| *s = Some(Ok(self.done_at)));
-                    return Step::Done;
+            let mut chunk = match self.current.take() {
+                Some(chunk) => chunk,
+                None if self.next_chunk == self.chunks.len() => {
+                    let done_at = self.done_at;
+                    return self.settle(Ok(done_at), done_at.max(self.submit_ns));
                 }
-                let (bytes, duration) = {
-                    let entry = &mut self.chunks[self.next_chunk];
-                    (std::mem::take(&mut entry.0), entry.1)
-                };
-                self.next_chunk += 1;
-                self.current = Some(ReliableChunkSend::new(
-                    &self.inner,
-                    self.dst,
-                    self.wire_tag,
-                    bytes,
-                    t0,
-                    duration,
-                ));
-            }
-            let chunk = self.current.as_mut().expect("chunk armed above");
+                None => {
+                    let (bytes, duration) = {
+                        let entry = &mut self.chunks[self.next_chunk];
+                        (std::mem::take(&mut entry.0), entry.1)
+                    };
+                    self.next_chunk += 1;
+                    ReliableChunkSend::new(
+                        &self.inner,
+                        self.dst,
+                        self.wire_tag,
+                        bytes,
+                        t0,
+                        duration,
+                    )
+                }
+            };
             match chunk.step(&self.inner, &mut self.ids, now, actor) {
-                ChunkStep::Progressed => continue,
-                ChunkStep::Park(at) => return Step::Park(Some(at)),
+                ChunkStep::Progressed => self.current = Some(chunk),
+                ChunkStep::Park(at) => {
+                    self.current = Some(chunk);
+                    return Step::Park(Some(at));
+                }
                 ChunkStep::Sent(done) => {
-                    let clen = chunk.bytes.len() as u64;
-                    record_child(
+                    Stage::Net(self.dst).child(
                         &self.inner,
                         &mut self.ids,
-                        "net",
-                        format!("net→{}", self.dst),
-                        "chunk",
                         t0,
                         done,
-                        clen,
-                        true,
+                        chunk.len() as u64,
                     );
                     self.done_at = self.done_at.max(done);
-                    self.current = None;
                 }
-                ChunkStep::Failed(at) => {
-                    let chunk = self.current.take().expect("chunk armed above");
-                    self.finish(false, at);
-                    self.slot.with(|s| *s = Some(Err(chunk.exhaustion_error())));
-                    return Step::Done;
-                }
+                ChunkStep::Failed(at) => return self.settle(Err(chunk.exhaustion_error()), at),
             }
         }
     }
@@ -1785,9 +1675,9 @@ impl EngineOp for HostSendOp {
     }
 }
 
-/// `MPI_Irecv` into `MPI_CL_MEM` (`irecv_cl`): matched receives are
-/// posted back-to-back into the pinned host landing buffer; the returned
-/// event completes when the full payload has arrived.
+/// `MPI_Irecv` into `MPI_CL_MEM` (`irecv_cl`): patient matched receives
+/// are posted back-to-back into the pinned host landing buffer; the
+/// returned event completes when the full payload has arrived.
 pub(crate) struct IrecvClOp {
     inner: Arc<Inner>,
     src: Rank,
@@ -1799,16 +1689,8 @@ pub(crate) struct IrecvClOp {
     label: String,
     ids: ChildIds,
     submit_ns: SimNs,
-    state: IrecvState,
-}
-
-enum IrecvState {
-    Start,
-    AwaitChunk {
-        req: Request,
-        deadline: Option<(SimNs, SimNs)>, // (expiry instant, patience)
-    },
-    Done,
+    /// The posted receive of the next chunk (`None` before the first).
+    recv: Option<ReliableChunkRecv>,
 }
 
 impl IrecvClOp {
@@ -1835,57 +1717,25 @@ impl IrecvClOp {
             label,
             ids,
             submit_ns,
-            state: IrecvState::Start,
+            recv: None,
         }
     }
 
-    /// Record the operation envelope and counters at settlement.
-    fn finish_obs(&mut self, ok: bool, at: SimNs) {
-        record_envelope(
-            &self.inner,
-            &self.ids,
-            "op.irecv",
-            format!("irecv←{}", self.src),
-            self.submit_ns,
-            at,
-            self.size as u64,
-            ok,
-            Some(self.src),
-            Some(self.wire_tag),
-        );
-        self.inner
-            .note_settled(ok, 0, if ok { self.size as u64 } else { 0 });
-    }
-
-    fn post_chunk(&mut self, now: SimNs, actor: &Actor) {
-        let req = self
-            .inner
-            .comm
-            .irecv(actor, Some(self.src), Some(self.wire_tag));
-        let deadline = self.inner.comm.world().has_faults().then(|| {
-            let patience = self.inner.retry.lock().chunk_timeout_ns;
-            (now + patience, patience)
-        });
-        self.state = IrecvState::AwaitChunk { req, deadline };
-    }
-
-    fn fail(&mut self, at: SimNs, dead_peer: bool) -> Step {
-        if let Some(stats) = self.inner.stats.lock().as_ref() {
-            if dead_peer {
-                stats.note_proc_failure();
-            } else {
-                stats.note_failure();
-            }
-        }
-        if dead_peer {
-            record_failure(&self.inner, &mut self.ids, self.src, at);
-        }
-        self.finish_obs(false, at);
-        self.ue
-            .set_failed(at, CL_MPI_TRANSFER_ERROR)
-            .expect("irecv event settled once");
-        self.state = IrecvState::Done;
-        Step::Done
+    fn settle(&mut self, outcome: ClResult<()>, at: SimNs) -> Step {
+        let report = Report {
+            inner: &self.inner,
+            ids: &self.ids,
+            submit_ns: self.submit_ns,
+            envelope: Envelope {
+                cat: "op.irecv",
+                name: format!("irecv←{}", self.src),
+                bytes: self.size as u64,
+                peer: Some(self.src),
+                tag: Some(self.wire_tag),
+            },
+            moved: (0, self.size as u64),
+        };
+        settle_op(NO_SLOT, Some(report), Some(&self.ue), outcome, at)
     }
 }
 
@@ -1896,70 +1746,33 @@ impl EngineOp for IrecvClOp {
 
     fn step(&mut self, now: SimNs, actor: &Actor) -> Step {
         loop {
-            match &mut self.state {
-                IrecvState::Start => {
-                    if self.received == self.size {
-                        // Zero-byte receive: complete immediately.
-                        self.finish_obs(true, now);
-                        self.ue
-                            .set_complete(now)
-                            .expect("irecv event completed once");
-                        self.state = IrecvState::Done;
-                        return Step::Done;
-                    }
-                    self.post_chunk(now, actor);
-                }
-                IrecvState::AwaitChunk { req, deadline } => {
-                    let deadline = *deadline;
-                    if let Some(result) = req.test(actor) {
-                        let r = result.expect("matched receive yields a payload");
-                        let len = r.data.len();
-                        if self.received + len > self.size {
-                            self.finish_obs(false, now);
-                            self.ue
-                                .set_failed(now, CL_MPI_TRANSFER_ERROR)
-                                .expect("irecv event settled once");
-                            self.state = IrecvState::Done;
-                            return Step::Done;
-                        }
-                        let at = self.received;
-                        self.host
-                            .write(|h| h.as_mut_slice()[at..at + len].copy_from_slice(&r.data));
-                        self.received += len;
-                        if self.received == self.size {
-                            self.finish_obs(true, now);
-                            self.ue
-                                .set_complete(now)
-                                .expect("irecv event completed once");
-                            self.state = IrecvState::Done;
-                            return Step::Done;
-                        }
-                        self.post_chunk(now, actor);
-                    } else if let Some(at) = req.known_completion() {
-                        return Step::Park(Some(at.max(now + 1)));
-                    } else if self.inner.peer_failed(self.src, now) {
-                        // Dead source, nothing in flight: abort-and-poison
-                        // without waiting out the patience.
-                        let state = std::mem::replace(&mut self.state, IrecvState::Done);
-                        if let IrecvState::AwaitChunk { req, .. } = state {
-                            req.cancel();
-                        }
-                        return self.fail(now, true);
-                    } else if let Some((at, _patience)) = deadline {
-                        if now >= at {
-                            let state = std::mem::replace(&mut self.state, IrecvState::Done);
-                            if let IrecvState::AwaitChunk { req, .. } = state {
-                                req.cancel();
-                            }
-                            return self.fail(now, false);
-                        }
-                        return Step::Park(self.inner.park_until_failure(self.src, now, Some(at)));
-                    } else {
-                        return Step::Park(self.inner.park_until_failure(self.src, now, None));
-                    }
-                }
-                IrecvState::Done => return Step::Done,
+            if self.received == self.size {
+                // Everything landed (at once for a zero-byte receive).
+                return self.settle(Ok(()), now);
             }
+            let (src, tag) = (self.src, self.wire_tag);
+            let recv = self.recv.get_or_insert_with(|| {
+                ReliableChunkRecv::post(&self.inner, actor, Some(src), tag, now)
+            });
+            let noun = |_| format!("irecv from rank {src}");
+            let r = match recv.step(&self.inner, &mut self.ids, actor, now, &[src], noun) {
+                RecvStep::Arrived(r) => r,
+                RecvStep::Park(t) => return Step::Park(t),
+                RecvStep::Failed(e) => return self.settle(Err(e), now),
+            };
+            self.recv = None;
+            let (at, len) = (self.received, r.data.len());
+            if at + len > self.size {
+                let e = format!(
+                    "irecv overflow: got {} bytes into a {}-byte receive",
+                    at + len,
+                    self.size
+                );
+                return self.settle(Err(ClError::TransferFailed(e)), now);
+            }
+            self.host
+                .write(|h| h.as_mut_slice()[at..at + len].copy_from_slice(&r.data));
+            self.received += len;
         }
     }
 }
@@ -1970,7 +1783,7 @@ impl EngineOp for IrecvClOp {
 /// the settlement instant.
 pub(crate) struct EventFromRequestOp {
     inner: Arc<Inner>,
-    req: Option<Request>,
+    req: Request,
     ue: UserEvent,
     slot: Arc<Monitor<Option<RecvResult>>>,
     label: String,
@@ -1990,7 +1803,7 @@ impl EventFromRequestOp {
         let label = format!("clmpi-event-from-request-r{}", inner.comm.rank());
         EventFromRequestOp {
             inner,
-            req: Some(req),
+            req,
             ue,
             slot,
             label,
@@ -2006,33 +1819,32 @@ impl EngineOp for EventFromRequestOp {
     }
 
     fn step(&mut self, now: SimNs, actor: &Actor) -> Step {
-        let req = self.req.as_mut().expect("stepped after completion");
-        match req.poll(now) {
-            CompletionState::Pending => Step::Park(req.wake_hint(now).filter(|&t| t > now)),
-            CompletionState::Complete(_) | CompletionState::Failed(..) => {
-                let mut req = self.req.take().expect("present above");
-                let result = req.test(actor).expect("completion signalled above");
-                let bytes = result.as_ref().map(|r| r.data.len() as u64).unwrap_or(0);
-                record_envelope(
-                    &self.inner,
-                    &self.ids,
-                    "op.request",
-                    "mpi-request".into(),
-                    self.submit_ns,
-                    now,
-                    bytes,
-                    true,
-                    None,
-                    None,
-                );
-                self.inner.note_settled(true, 0, bytes);
-                self.slot.with(|s| *s = result);
-                self.ue
-                    .set_complete(now)
-                    .expect("request event completed once");
-                Step::Done
-            }
+        if let CompletionState::Pending = self.req.poll(now) {
+            return Step::Park(self.req.wake_hint(now).filter(|&t| t > now));
         }
+        // Settled: a receive yields its payload, a send nothing.
+        let result = self.req.test(actor).flatten();
+        let bytes = result.as_ref().map_or(0, |r| r.data.len() as u64);
+        let report = Report {
+            inner: &self.inner,
+            ids: &self.ids,
+            submit_ns: self.submit_ns,
+            envelope: Envelope {
+                cat: "op.request",
+                name: "mpi-request".into(),
+                bytes,
+                peer: None,
+                tag: None,
+            },
+            moved: (0, bytes),
+        };
+        settle_op(
+            Some((&*self.slot, result)),
+            Some(report),
+            Some(&self.ue),
+            Ok(()),
+            now,
+        )
     }
 }
 
@@ -2177,16 +1989,18 @@ fn poll_flights(
 
 /// Terminal-failure accounting shared by the one-sided machines: a dead
 /// target is a ULFM-class process failure, anything else a transfer
-/// failure.
-fn note_rma_failure(inner: &Inner, ids: &mut ChildIds, err: &MpiError, target: Rank, at: SimNs) {
-    if matches!(err, MpiError::ProcFailed { .. }) {
-        if let Some(stats) = inner.stats.lock().as_ref() {
-            stats.note_proc_failure();
-        }
-        record_failure(inner, ids, target, at);
-    } else if let Some(stats) = inner.stats.lock().as_ref() {
-        stats.note_failure();
-    }
+/// failure. Returns the error the op settles with.
+fn rma_failure(
+    inner: &Inner,
+    ids: &mut ChildIds,
+    what: String,
+    err: MpiError,
+    target: Rank,
+    at: SimNs,
+) -> ClError {
+    let dead = matches!(err, MpiError::ProcFailed { .. }).then_some(target);
+    note_abort(inner, ids, dead, at);
+    ClError::TransferFailed(format!("{what}: {err}"))
 }
 
 /// States shared by the put machine (accumulate has an extra staging
@@ -2195,7 +2009,6 @@ enum PutState {
     WaitDeps,
     Transfer { t0: SimNs, flights: Vec<RmaFlight> },
     Finish { done_at: SimNs },
-    Done,
 }
 
 /// `clEnqueuePutBuffer`: one-sided write of a device-buffer range into a
@@ -2290,17 +2103,7 @@ impl PutOp {
                         .device
                         .d2h_link()
                         .reserve_duration(pcie.staged_ns(clen, true), earliest);
-                    record_child(
-                        &self.inner,
-                        &mut self.ids,
-                        "dev",
-                        "d2h".into(),
-                        "stage.d2h",
-                        d2h.start,
-                        d2h.end,
-                        clen as u64,
-                        true,
-                    );
+                    Stage::D2h.child(&self.inner, &mut self.ids, d2h.start, d2h.end, clen as u64);
                     let route = if self.strategy == TransferStrategy::Rma {
                         RmaRoute::Auto
                     } else {
@@ -2333,41 +2136,28 @@ impl PutOp {
     }
 
     fn settle(&mut self, outcome: ClResult<()>, at: SimNs) -> Step {
-        let ok = outcome.is_ok();
         // A transfer-level failure retires the probed lowering for this
-        // (peer, size) class; a poisoned wait list says nothing about it.
-        if !ok && !matches!(outcome, Err(ClError::EventFailed { .. })) {
+        // (peer, size) class.
+        if strategy_failed(&outcome) {
             if let Some(sel) = self.inner.rma_adaptive.lock().as_ref() {
-                sel.observe_failure(self.target, self.size, self.strategy);
+                sel.observe_failure(PeerKey(self.target, self.size), self.strategy);
             }
         }
-        record_envelope(
-            &self.inner,
-            &self.ids,
-            "op.put",
-            format!("put→{}@{}", self.target, self.win_offset),
-            self.submit_ns,
-            at,
-            self.size as u64,
-            ok,
-            Some(self.target),
-            None,
-        );
-        self.inner
-            .note_settled(ok, if ok { self.size as u64 } else { 0 }, 0);
-        match outcome {
-            Ok(()) => self.ue.set_complete(at).expect("put event completed once"),
-            Err(ClError::EventFailed { .. }) => self
-                .ue
-                .set_failed(at, EXEC_STATUS_ERROR_FOR_EVENTS_IN_WAIT_LIST)
-                .expect("put event settled once"),
-            Err(_) => self
-                .ue
-                .set_failed(at, CL_MPI_TRANSFER_ERROR)
-                .expect("put event settled once"),
-        }
-        self.state = PutState::Done;
-        Step::Done
+        let envelope = Envelope {
+            cat: "op.put",
+            name: format!("put→{}@{}", self.target, self.win_offset),
+            bytes: self.size as u64,
+            peer: Some(self.target),
+            tag: None,
+        };
+        let report = Report {
+            inner: &self.inner,
+            ids: &self.ids,
+            submit_ns: self.submit_ns,
+            envelope,
+            moved: (self.size as u64, 0),
+        };
+        settle_op(NO_SLOT, Some(report), Some(&self.ue), outcome, at)
     }
 }
 
@@ -2379,12 +2169,10 @@ impl EngineOp for PutOp {
     fn step(&mut self, now: SimNs, _actor: &Actor) -> Step {
         loop {
             match &mut self.state {
-                PutState::WaitDeps => match poll_deps(&self.wait) {
-                    WaitListStatus::Pending => return Step::Park(None),
-                    WaitListStatus::Failed { code, label } => {
-                        return self.settle(Err(ClError::EventFailed { code, label }), now);
-                    }
-                    WaitListStatus::Ready => match self.arm(now) {
+                PutState::WaitDeps => match deps_ready(&self.wait) {
+                    Ok(false) => return Step::Park(None),
+                    Err(e) => return self.settle(Err(e), now),
+                    Ok(true) => match self.arm(now) {
                         Ok(flights) => self.state = PutState::Transfer { t0: now, flights },
                         Err(e) => return self.settle(Err(e), now),
                     },
@@ -2395,14 +2183,10 @@ impl EngineOp for PutOp {
                     match verdict {
                         FlightsVerdict::Pending { wake } => return Step::Park(Some(wake)),
                         FlightsVerdict::Failed { err, at } => {
-                            note_rma_failure(&self.inner, &mut self.ids, &err, self.target, at);
-                            return self.settle(
-                                Err(ClError::TransferFailed(format!(
-                                    "put to rank {}: {err}",
-                                    self.target
-                                ))),
-                                at,
-                            );
+                            let what = format!("put to rank {}", self.target);
+                            let e =
+                                rma_failure(&self.inner, &mut self.ids, what, err, self.target, at);
+                            return self.settle(Err(e), at);
                         }
                         FlightsVerdict::Done { at } => {
                             let done_at = at.max(t0);
@@ -2416,8 +2200,7 @@ impl EngineOp for PutOp {
                             }
                             if let Some(sel) = self.inner.rma_adaptive.lock().as_ref() {
                                 sel.observe(
-                                    self.target,
-                                    self.size,
+                                    PeerKey(self.target, self.size),
                                     self.strategy,
                                     done_at.saturating_sub(t0),
                                 );
@@ -2433,7 +2216,6 @@ impl EngineOp for PutOp {
                     }
                     return Step::Park(Some(done_at));
                 }
-                PutState::Done => return Step::Done,
             }
         }
     }
@@ -2450,7 +2232,6 @@ enum GetState {
         data: Vec<u8>,
         end: SimNs,
     },
-    Done,
 }
 
 /// `clEnqueueGetBuffer`: one-sided read from a peer rank's window into a
@@ -2511,34 +2292,21 @@ impl GetOp {
     }
 
     fn settle(&mut self, outcome: ClResult<()>, at: SimNs) -> Step {
-        let ok = outcome.is_ok();
-        record_envelope(
-            &self.inner,
-            &self.ids,
-            "op.get",
-            format!("get←{}@{}", self.target, self.win_offset),
-            self.submit_ns,
-            at,
-            self.size as u64,
-            ok,
-            Some(self.target),
-            None,
-        );
-        self.inner
-            .note_settled(ok, 0, if ok { self.size as u64 } else { 0 });
-        match outcome {
-            Ok(()) => self.ue.set_complete(at).expect("get event completed once"),
-            Err(ClError::EventFailed { .. }) => self
-                .ue
-                .set_failed(at, EXEC_STATUS_ERROR_FOR_EVENTS_IN_WAIT_LIST)
-                .expect("get event settled once"),
-            Err(_) => self
-                .ue
-                .set_failed(at, CL_MPI_TRANSFER_ERROR)
-                .expect("get event settled once"),
-        }
-        self.state = GetState::Done;
-        Step::Done
+        let envelope = Envelope {
+            cat: "op.get",
+            name: format!("get←{}@{}", self.target, self.win_offset),
+            bytes: self.size as u64,
+            peer: Some(self.target),
+            tag: None,
+        };
+        let report = Report {
+            inner: &self.inner,
+            ids: &self.ids,
+            submit_ns: self.submit_ns,
+            envelope,
+            moved: (0, self.size as u64),
+        };
+        settle_op(NO_SLOT, Some(report), Some(&self.ue), outcome, at)
     }
 }
 
@@ -2550,30 +2318,26 @@ impl EngineOp for GetOp {
     fn step(&mut self, now: SimNs, _actor: &Actor) -> Step {
         loop {
             match &mut self.state {
-                GetState::WaitDeps => match poll_deps(&self.wait) {
-                    WaitListStatus::Pending => return Step::Park(None),
-                    WaitListStatus::Failed { code, label } => {
-                        return self.settle(Err(ClError::EventFailed { code, label }), now);
-                    }
-                    WaitListStatus::Ready => {
-                        match self.win.get(self.target, self.win_offset, self.size) {
-                            Ok(h) => {
-                                self.state = GetState::Transfer {
-                                    t0: now,
-                                    flight: RmaFlight::new(h, now),
-                                };
-                            }
-                            Err(e) => {
-                                return self.settle(
-                                    Err(ClError::TransferFailed(format!(
-                                        "get from rank {}: {e}",
-                                        self.target
-                                    ))),
-                                    now,
-                                );
-                            }
+                GetState::WaitDeps => match deps_ready(&self.wait) {
+                    Ok(false) => return Step::Park(None),
+                    Err(e) => return self.settle(Err(e), now),
+                    Ok(true) => match self.win.get(self.target, self.win_offset, self.size) {
+                        Ok(h) => {
+                            self.state = GetState::Transfer {
+                                t0: now,
+                                flight: RmaFlight::new(h, now),
+                            };
                         }
-                    }
+                        Err(e) => {
+                            return self.settle(
+                                Err(ClError::TransferFailed(format!(
+                                    "get from rank {}: {e}",
+                                    self.target
+                                ))),
+                                now,
+                            );
+                        }
+                    },
                 },
                 GetState::Transfer { t0, flight } => {
                     let t0 = *t0;
@@ -2586,14 +2350,10 @@ impl EngineOp for GetOp {
                     match verdict {
                         FlightsVerdict::Pending { wake } => return Step::Park(Some(wake)),
                         FlightsVerdict::Failed { err, at } => {
-                            note_rma_failure(&self.inner, &mut self.ids, &err, self.target, at);
-                            return self.settle(
-                                Err(ClError::TransferFailed(format!(
-                                    "get from rank {}: {err}",
-                                    self.target
-                                ))),
-                                at,
-                            );
+                            let what = format!("get from rank {}", self.target);
+                            let e =
+                                rma_failure(&self.inner, &mut self.ids, what, err, self.target, at);
+                            return self.settle(Err(e), at);
                         }
                         FlightsVerdict::Done { at } => {
                             let data = flight
@@ -2605,16 +2365,12 @@ impl EngineOp for GetOp {
                                 .device
                                 .h2d_link()
                                 .reserve_duration(pcie.staged_ns(data.len(), true), at.max(t0));
-                            record_child(
+                            Stage::H2d.child(
                                 &self.inner,
                                 &mut self.ids,
-                                "dev",
-                                "h2d".into(),
-                                "stage.h2d",
                                 h2d.start,
                                 h2d.end,
                                 data.len() as u64,
-                                true,
                             );
                             self.state = GetState::Stage {
                                 t0,
@@ -2637,7 +2393,6 @@ impl EngineOp for GetOp {
                     }
                     return self.settle(Ok(()), end);
                 }
-                GetState::Done => return Step::Done,
             }
         }
     }
@@ -2648,7 +2403,6 @@ enum AccState {
     Stage { t0: SimNs, end: SimNs },
     Transfer { t0: SimNs, flight: RmaFlight },
     Finish { done_at: SimNs },
-    Done,
 }
 
 /// `clEnqueueAccumulateBuffer`: one-sided read-modify-write of f64s from
@@ -2713,34 +2467,21 @@ impl AccumulateOp {
     }
 
     fn settle(&mut self, outcome: ClResult<()>, at: SimNs) -> Step {
-        let ok = outcome.is_ok();
-        record_envelope(
-            &self.inner,
-            &self.ids,
-            "op.acc",
-            format!("acc→{}@{}", self.target, self.win_offset),
-            self.submit_ns,
-            at,
-            self.size as u64,
-            ok,
-            Some(self.target),
-            None,
-        );
-        self.inner
-            .note_settled(ok, if ok { self.size as u64 } else { 0 }, 0);
-        match outcome {
-            Ok(()) => self.ue.set_complete(at).expect("acc event completed once"),
-            Err(ClError::EventFailed { .. }) => self
-                .ue
-                .set_failed(at, EXEC_STATUS_ERROR_FOR_EVENTS_IN_WAIT_LIST)
-                .expect("acc event settled once"),
-            Err(_) => self
-                .ue
-                .set_failed(at, CL_MPI_TRANSFER_ERROR)
-                .expect("acc event settled once"),
-        }
-        self.state = AccState::Done;
-        Step::Done
+        let envelope = Envelope {
+            cat: "op.acc",
+            name: format!("acc→{}@{}", self.target, self.win_offset),
+            bytes: self.size as u64,
+            peer: Some(self.target),
+            tag: None,
+        };
+        let report = Report {
+            inner: &self.inner,
+            ids: &self.ids,
+            submit_ns: self.submit_ns,
+            envelope,
+            moved: (self.size as u64, 0),
+        };
+        settle_op(NO_SLOT, Some(report), Some(&self.ue), outcome, at)
     }
 }
 
@@ -2752,27 +2493,21 @@ impl EngineOp for AccumulateOp {
     fn step(&mut self, now: SimNs, _actor: &Actor) -> Step {
         loop {
             match &mut self.state {
-                AccState::WaitDeps => match poll_deps(&self.wait) {
-                    WaitListStatus::Pending => return Step::Park(None),
-                    WaitListStatus::Failed { code, label } => {
-                        return self.settle(Err(ClError::EventFailed { code, label }), now);
-                    }
-                    WaitListStatus::Ready => {
+                AccState::WaitDeps => match deps_ready(&self.wait) {
+                    Ok(false) => return Step::Park(None),
+                    Err(e) => return self.settle(Err(e), now),
+                    Ok(true) => {
                         let pcie = self.device.spec().pcie;
                         let d2h = self.device.d2h_link().reserve_duration(
                             pcie.staged_ns(self.size, true),
                             now + pcie.pin_setup_ns,
                         );
-                        record_child(
+                        Stage::D2h.child(
                             &self.inner,
                             &mut self.ids,
-                            "dev",
-                            "d2h".into(),
-                            "stage.d2h",
                             d2h.start,
                             d2h.end,
                             self.size as u64,
-                            true,
                         );
                         self.state = AccState::Stage {
                             t0: now,
@@ -2821,14 +2556,10 @@ impl EngineOp for AccumulateOp {
                     match verdict {
                         FlightsVerdict::Pending { wake } => return Step::Park(Some(wake)),
                         FlightsVerdict::Failed { err, at } => {
-                            note_rma_failure(&self.inner, &mut self.ids, &err, self.target, at);
-                            return self.settle(
-                                Err(ClError::TransferFailed(format!(
-                                    "accumulate to rank {}: {err}",
-                                    self.target
-                                ))),
-                                at,
-                            );
+                            let what = format!("accumulate to rank {}", self.target);
+                            let e =
+                                rma_failure(&self.inner, &mut self.ids, what, err, self.target, at);
+                            return self.settle(Err(e), at);
                         }
                         FlightsVerdict::Done { at } => {
                             let done_at = at.max(t0);
@@ -2846,7 +2577,6 @@ impl EngineOp for AccumulateOp {
                     }
                     return Step::Park(Some(done_at));
                 }
-                AccState::Done => return Step::Done,
             }
         }
     }
@@ -2861,7 +2591,6 @@ enum FenceState {
         op_err: Option<MpiError>,
         deadline: Option<SimNs>,
     },
-    Done,
 }
 
 /// `clEnqueueWinFence`: close the window's current access epoch and open
@@ -2910,47 +2639,29 @@ impl WinFenceOp {
     }
 
     fn settle(&mut self, outcome: ClResult<()>, at: SimNs) -> Step {
-        let ok = outcome.is_ok();
-        record_envelope(
-            &self.inner,
-            &self.ids,
-            "op.fence",
-            "win-fence".into(),
-            self.submit_ns,
-            at,
-            0,
-            ok,
-            None,
-            None,
-        );
-        self.inner.note_settled(ok, 0, 0);
-        match outcome {
-            Ok(()) => self
-                .ue
-                .set_complete(at)
-                .expect("fence event completed once"),
-            Err(ClError::EventFailed { .. }) => self
-                .ue
-                .set_failed(at, EXEC_STATUS_ERROR_FOR_EVENTS_IN_WAIT_LIST)
-                .expect("fence event settled once"),
-            Err(_) => self
-                .ue
-                .set_failed(at, CL_MPI_TRANSFER_ERROR)
-                .expect("fence event settled once"),
-        }
-        self.state = FenceState::Done;
-        Step::Done
+        let envelope = Envelope {
+            cat: "op.fence",
+            name: "win-fence".into(),
+            bytes: 0,
+            peer: None,
+            tag: None,
+        };
+        let report = Report {
+            inner: &self.inner,
+            ids: &self.ids,
+            submit_ns: self.submit_ns,
+            envelope,
+            moved: (0, 0),
+        };
+        settle_op(NO_SLOT, Some(report), Some(&self.ue), outcome, at)
     }
 
     fn settle_epoch(&mut self, err: MpiError, at: SimNs) -> Step {
-        if let MpiError::ProcFailed { rank } = err {
-            if let Some(stats) = self.inner.stats.lock().as_ref() {
-                stats.note_proc_failure();
-            }
-            record_failure(&self.inner, &mut self.ids, rank, at);
-        } else if let Some(stats) = self.inner.stats.lock().as_ref() {
-            stats.note_failure();
-        }
+        let dead = match err {
+            MpiError::ProcFailed { rank } => Some(rank),
+            _ => None,
+        };
+        note_abort(&self.inner, &mut self.ids, dead, at);
         self.settle(
             Err(ClError::TransferFailed(format!("rma epoch: {err}"))),
             at,
@@ -2966,12 +2677,10 @@ impl EngineOp for WinFenceOp {
     fn step(&mut self, now: SimNs, _actor: &Actor) -> Step {
         loop {
             match &mut self.state {
-                FenceState::WaitDeps => match poll_deps(&self.wait) {
-                    WaitListStatus::Pending => return Step::Park(None),
-                    WaitListStatus::Failed { code, label } => {
-                        return self.settle(Err(ClError::EventFailed { code, label }), now);
-                    }
-                    WaitListStatus::Ready => self.state = FenceState::Drain,
+                FenceState::WaitDeps => match deps_ready(&self.wait) {
+                    Ok(false) => return Step::Park(None),
+                    Err(e) => return self.settle(Err(e), now),
+                    Ok(true) => self.state = FenceState::Drain,
                 },
                 FenceState::Drain => {
                     if !self.win.poll_pending() {
@@ -3018,7 +2727,6 @@ impl EngineOp for WinFenceOp {
                         None => return Step::Park(None),
                     }
                 }
-                FenceState::Done => return Step::Done,
             }
         }
     }

@@ -11,12 +11,12 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use minicl::{Buffer, ClResult, CommandQueue, Device, Event, UserEvent, CL_MPI_TRANSFER_ERROR};
+use minicl::{Buffer, ClError, ClResult, CommandQueue, Device, Event, UserEvent};
 use simnet::{Link, LinkSpec};
 use simtime::plock::Mutex;
-use simtime::{Actor, Arbiter, Monitor, SimClock, SimNs};
+use simtime::{Actor, Arbiter, GrantQueue, Monitor, SimClock, SimNs};
 
-use crate::engine::{deps_settled, record_envelope, EngineOp, Step};
+use crate::engine::{deps_settled, settle_op, EngineOp, Envelope, Report, Step, NO_SLOT};
 use crate::obs::ChildIds;
 use crate::runtime::Inner;
 
@@ -34,29 +34,19 @@ pub struct SimStorage {
 
 struct StorageCore {
     link: Link,
-    defer: Mutex<StorageDefer>,
+    /// Deferred reservations, granted in canonical order. Several ranks
+    /// share one storage device (the shared-PFS model), and their engine
+    /// threads hit the timeline at the same virtual instant; granting in
+    /// real call order would leak host scheduling into virtual time. The
+    /// grant key is the poster's global rank, unique per shared storage.
+    defer: GrantQueue<u64, StorageJob>,
 }
 
-/// A deferred storage reservation, granted later in canonical order.
-/// Several ranks share one storage device (the shared-PFS model), and
-/// their engine threads hit the timeline at the same virtual instant;
-/// granting in real call order would leak host scheduling into virtual
-/// time. Same design as the fabric's deferred-send arbiter.
+/// A deferred storage reservation: its size, and the cell filled with
+/// its arrival instant at grant time.
 struct StorageJob {
-    /// Canonical tiebreak between posters at the same instant (the
-    /// poster's global rank — unique per shared storage).
-    prio: u64,
     bytes: usize,
-    earliest: SimNs,
-    seq: u64,
-    /// Filled with the reservation's arrival instant at grant time.
     cell: GrantCell,
-}
-
-#[derive(Default)]
-struct StorageDefer {
-    pending: Vec<StorageJob>,
-    next_seq: u64,
 }
 
 impl SimStorage {
@@ -79,7 +69,7 @@ impl SimStorage {
             files: Arc::new(Mutex::new(BTreeMap::new())),
             core: Arc::new(StorageCore {
                 link: Link::new(clock.clone(), spec),
-                defer: Mutex::new(StorageDefer::default()),
+                defer: GrantQueue::default(),
             }),
             clock,
         }
@@ -114,26 +104,13 @@ impl SimStorage {
     /// past `earliest`; its monitor wakes the poster then. `prio` breaks
     /// same-instant ties canonically (pass the poster's global rank).
     pub(crate) fn reserve_deferred(&self, prio: u64, bytes: usize, earliest: SimNs) -> GrantCell {
-        let mut q = self.core.defer.lock();
-        // Clamp stale instants up to now. Grant batches are frozen: the
-        // poster is runnable, so the clock cannot advance while this job
-        // is posted — every later post lands at `earliest` ≥ any instant
-        // a grant has already covered.
-        let earliest = earliest.max(self.clock.now_ns());
         let cell = Arc::new(Monitor::new(self.clock.clone(), None));
-        let seq = q.next_seq;
-        q.next_seq += 1;
-        q.pending.push(StorageJob {
-            prio,
+        let job = StorageJob {
             bytes,
-            earliest,
-            seq,
             cell: cell.clone(),
-        });
-        drop(q);
-        // The clock grants the job once it has passed `earliest`, even if
-        // every actor is parked waiting on this very reservation.
-        self.clock.schedule_grant(earliest + 1, self.core.clone());
+        };
+        let core = self.core.clone();
+        self.core.defer.post(&self.clock, core, earliest, prio, job);
         cell
     }
 }
@@ -143,30 +120,13 @@ pub(crate) type GrantCell = Arc<Monitor<Option<SimNs>>>;
 
 impl Arbiter for StorageCore {
     /// Grant every deferred job whose instant has strictly passed, in
-    /// canonical `(earliest, prio, seq)` order. Reservations are
-    /// backdated to their (clamped) post instants, so the timeline is
-    /// identical to the eager first-come order — minus the race.
+    /// canonical `(earliest, prio, seq)` order, each backdated to its
+    /// (clamped) post instant.
     fn grant(&self, now: SimNs) {
-        // checker-allow(lock-lifetime): defer is the serialization point
-        // for the canonical (earliest, prio, seq) grant order — releasing
-        // it mid-grant would let a racing grant interleave reservations.
-        // The nested `cell` monitor is a per-job leaf that is never held
-        // across any other acquisition.
-        let mut q = self.defer.lock();
-        let mut due = Vec::new();
-        let mut i = 0;
-        while i < q.pending.len() {
-            if q.pending[i].earliest < now {
-                due.push(q.pending.swap_remove(i));
-            } else {
-                i += 1;
-            }
-        }
-        due.sort_by_key(|j| (j.earliest, j.prio, j.seq));
-        for j in due {
-            let r = self.link.reserve(j.bytes, j.earliest);
+        self.defer.grant(now, |earliest, _prio, j| {
+            let r = self.link.reserve(j.bytes, earliest);
             j.cell.with(|c| *c = Some(r.arrival));
-        }
+        });
     }
 }
 
@@ -389,6 +349,32 @@ impl crate::runtime::ClMpi {
     }
 }
 
+/// The `op.*` report of a traced checkpoint command: it moves no
+/// network bytes.
+fn file_report<'a>(
+    inner: &'a Inner,
+    ids: &'a ChildIds,
+    submit_ns: SimNs,
+    cat: &'static str,
+    name: String,
+    size: usize,
+) -> Report<'a> {
+    let envelope = Envelope {
+        cat,
+        name,
+        bytes: size as u64,
+        peer: None,
+        tag: None,
+    };
+    Report {
+        inner,
+        ids,
+        submit_ns,
+        envelope,
+        moved: (0, 0),
+    }
+}
+
 /// Shared shape of both file machines: wait for the dependency list,
 /// post the storage reservation to the arbiter, wait for its grant,
 /// then park until the terminal instant and publish the payload.
@@ -479,8 +465,7 @@ impl EngineOp for FileWriteOp {
                         unreachable!("matched above")
                     };
                     self.storage.write_file(&self.path, payload);
-                    self.ue.set_complete(at).expect("file write completed once");
-                    return Step::Done;
+                    return settle_op(NO_SLOT, None, Some(&self.ue), Ok(()), at);
                 }
                 FileState::Done => return Step::Done,
             }
@@ -569,8 +554,7 @@ impl EngineOp for FileReadOp {
                     self.buf
                         .store(self.offset, &payload[..self.size])
                         .expect("range checked");
-                    self.ue.set_complete(at).expect("file read completed once");
-                    return Step::Done;
+                    return settle_op(NO_SLOT, None, Some(&self.ue), Ok(()), at);
                 }
                 FileState::Done => return Step::Done,
             }
@@ -687,43 +671,28 @@ impl EngineOp for CheckpointWriteOp {
                         unreachable!("matched above")
                     };
                     let me = self.inner.comm.global_rank(self.inner.comm.rank());
-                    if self.inner.comm.world().node_down_in(me, write_start, at) {
-                        // Killed mid-write: the torn file is what the
-                        // survivors find on the shared storage.
-                        record_envelope(
-                            &self.inner,
-                            &self.ids,
-                            "op.ckpt",
-                            format!("ckpt torn {}", self.path),
-                            self.submit_ns,
-                            at,
-                            self.size as u64,
-                            false,
-                            None,
-                            None,
-                        );
-                        self.inner.note_settled(false, 0, 0);
-                        self.ue
-                            .set_failed(at, CL_MPI_TRANSFER_ERROR)
-                            .expect("ckpt event settled once");
-                        return Step::Done;
-                    }
-                    self.storage.write_file(&self.path, full);
-                    record_envelope(
+                    let (name, outcome) =
+                        if self.inner.comm.world().node_down_in(me, write_start, at) {
+                            // Killed mid-write: the torn file is what the
+                            // survivors find on the shared storage.
+                            let torn = format!("checkpoint {} torn by a node kill", self.path);
+                            (
+                                format!("ckpt torn {}", self.path),
+                                Err(ClError::TransferFailed(torn)),
+                            )
+                        } else {
+                            self.storage.write_file(&self.path, full);
+                            (format!("ckpt {}", self.path), Ok(()))
+                        };
+                    let report = file_report(
                         &self.inner,
                         &self.ids,
-                        "op.ckpt",
-                        format!("ckpt {}", self.path),
                         self.submit_ns,
-                        at,
-                        self.size as u64,
-                        true,
-                        None,
-                        None,
+                        "op.ckpt",
+                        name,
+                        self.size,
                     );
-                    self.inner.note_settled(true, 0, 0);
-                    self.ue.set_complete(at).expect("ckpt event completed once");
-                    return Step::Done;
+                    return settle_op(NO_SLOT, Some(report), Some(&self.ue), outcome, at);
                 }
                 CkptState::Done => return Step::Done,
             }
@@ -772,31 +741,21 @@ struct RestoreOp {
 }
 
 impl RestoreOp {
-    fn settle(&mut self, ok: bool, name: String, at: SimNs) -> Step {
-        record_envelope(
+    fn settle(&mut self, outcome: Result<(), String>, at: SimNs) -> Step {
+        let name = match &outcome {
+            Ok(()) => format!("restore {}", self.path),
+            Err(why) => format!("restore {}: {why}", self.path),
+        };
+        let outcome = outcome.map_err(|_| ClError::TransferFailed(name.clone()));
+        let report = file_report(
             &self.inner,
             &self.ids,
+            self.submit_ns,
             "op.restore",
             name,
-            self.submit_ns,
-            at,
-            self.size as u64,
-            ok,
-            None,
-            None,
+            self.size,
         );
-        self.inner.note_settled(ok, 0, 0);
-        if ok {
-            self.ue
-                .set_complete(at)
-                .expect("restore event completed once");
-        } else {
-            self.ue
-                .set_failed(at, CL_MPI_TRANSFER_ERROR)
-                .expect("restore event settled once");
-        }
-        self.state = RestoreState::Done;
-        Step::Done
+        settle_op(NO_SLOT, Some(report), Some(&self.ue), outcome, at)
     }
 }
 
@@ -874,7 +833,7 @@ impl EngineOp for RestoreOp {
                     self.buf
                         .store(self.offset, &payload)
                         .expect("range checked at enqueue");
-                    return self.settle(true, format!("restore {}", self.path), at);
+                    return self.settle(Ok(()), at);
                 }
                 RestoreState::Fail { at, .. } => {
                     if now < at {
@@ -884,7 +843,7 @@ impl EngineOp for RestoreOp {
                     let RestoreState::Fail { why, .. } = state else {
                         unreachable!("matched above")
                     };
-                    return self.settle(false, format!("restore {}: {why}", self.path), at);
+                    return self.settle(Err(why), at);
                 }
                 RestoreState::Done => return Step::Done,
             }
@@ -997,7 +956,7 @@ mod tests {
                 .enqueue_restore_buffer(&q, &buf, 0, 1024, &storage, "torn", &[], &p.actor)
                 .expect("enqueue accepted");
             let err = e.wait_result(&p.actor).expect_err("torn file rejected");
-            assert!(format!("{err:?}").contains(&CL_MPI_TRANSFER_ERROR.to_string()));
+            assert!(format!("{err:?}").contains(&minicl::CL_MPI_TRANSFER_ERROR.to_string()));
             // Missing file: same failure mode, no panic.
             let e2 = rt
                 .enqueue_restore_buffer(&q, &buf, 0, 1024, &storage, "nope", &[], &p.actor)

@@ -61,7 +61,9 @@ pub mod stats;
 mod strategy;
 mod system;
 
-pub use adaptive::{AdaptiveSelector, CollectiveSelector, PeerSelector};
+pub use adaptive::{
+    AdaptiveSelector, Candidate, CollKey, CollectiveSelector, PeerKey, PeerSelector, TuneKey, Tuner,
+};
 pub use collective::{CollAlgo, CollTuning};
 pub use engine::{Engine, EngineOp, Step};
 pub use fileio::{decode_checkpoint, encode_checkpoint, SimStorage, CKPT_HEADER_LEN, CKPT_MAGIC};

@@ -31,8 +31,8 @@ use simtime::{Actor, Monitor, SimClock, SimNs, Trace};
 
 use crate::data_tag;
 use crate::engine::{
-    record_envelope, AccumulateOp, Engine, EventFromRequestOp, GetOp, HostSendOp, IrecvClOp,
-    Lowering, PutOp, RecvOp, ResultSlot, SendOp, SendSlot, WinFenceOp,
+    record_envelope, AccumulateOp, Engine, Envelope, EventFromRequestOp, GetOp, HostSendOp,
+    IrecvClOp, Lowering, PutOp, RecvOp, ResultSlot, SendOp, SendSlot, WinFenceOp,
 };
 use crate::obs::{ChildIds, ObsCounters};
 use crate::retry::RetryPolicy;
@@ -126,20 +126,21 @@ impl Inner {
         self.comm.is_proc_failed(local, t)
     }
 
-    /// The wake hint of a waiter that checked [`Inner::peer_failed`] at
-    /// `now` and found the peer alive: the earlier of its own `deadline`
-    /// and the peer's next scheduled death. A kill is then noticed at the
-    /// instant it happens, not at whatever wake-up comes next.
+    /// The wake hint of a waiter that checked [`Inner::peer_failed`] for
+    /// each of `upstream` at `now` and found them alive: the earliest of
+    /// its own `deadline` and their next scheduled deaths. A kill is then
+    /// noticed at the instant it happens, not at whatever wake-up comes
+    /// next.
     pub(crate) fn park_until_failure(
         &self,
-        local: Rank,
+        upstream: &[Rank],
         now: SimNs,
         deadline: Option<SimNs>,
     ) -> Option<SimNs> {
-        deadline
-            .into_iter()
-            .chain(self.comm.next_proc_failure(local, now))
-            .min()
+        let deaths = upstream
+            .iter()
+            .filter_map(|&r| self.comm.next_proc_failure(r, now));
+        deadline.into_iter().chain(deaths).min()
     }
 }
 
@@ -342,7 +343,9 @@ impl ClMpi {
             return self.inner.cfg.resolve(forced, size);
         }
         let chosen = if let Some(sel) = self.inner.rma_adaptive.lock().as_ref() {
-            self.inner.cfg.resolve(sel.choose(peer, size), size)
+            self.inner
+                .cfg
+                .resolve(sel.choose(crate::PeerKey(peer, size)), size)
         } else {
             TransferStrategy::Rma
         };
@@ -373,18 +376,14 @@ impl ClMpi {
         }
         let now = self.inner.clock.now_ns();
         let ids = self.inner.new_span_ids();
-        record_envelope(
-            &self.inner,
-            &ids,
-            "op.failure",
-            format!("proc-failure r{rank}"),
-            now,
-            now,
-            0,
-            false,
-            Some(rank),
-            None,
-        );
+        let envelope = Envelope {
+            cat: "op.failure",
+            name: format!("proc-failure r{rank}"),
+            bytes: 0,
+            peer: Some(rank),
+            tag: None,
+        };
+        record_envelope(&self.inner, &ids, envelope, now, now, false);
     }
 
     /// Communicator-local ranks known failed at instant `t`: explicit
@@ -403,18 +402,14 @@ impl ClMpi {
         self.inner.comm.revoke();
         let now = self.inner.clock.now_ns();
         let ids = self.inner.new_span_ids();
-        record_envelope(
-            &self.inner,
-            &ids,
-            "op.revoke",
-            "revoke".into(),
-            now,
-            now,
-            0,
-            true,
-            None,
-            None,
-        );
+        let envelope = Envelope {
+            cat: "op.revoke",
+            name: "revoke".into(),
+            bytes: 0,
+            peer: None,
+            tag: None,
+        };
+        record_envelope(&self.inner, &ids, envelope, now, now, true);
     }
 
     /// `MPI_Comm_shrink`: run the fault-tolerant agreement over the
@@ -432,18 +427,14 @@ impl ClMpi {
             Ok(c) => format!("shrink {}→{}", self.inner.comm.size(), c.size()),
             Err(e) => format!("shrink failed: {e}"),
         };
-        record_envelope(
-            &self.inner,
-            &ids,
-            "op.shrink",
+        let envelope = Envelope {
+            cat: "op.shrink",
             name,
-            t0,
-            now,
-            0,
-            res.is_ok(),
-            None,
-            None,
-        );
+            bytes: 0,
+            peer: None,
+            tag: None,
+        };
+        record_envelope(&self.inner, &ids, envelope, t0, now, res.is_ok());
         res
     }
 

@@ -4,13 +4,15 @@
 //! matrix; and fault-injection scenarios (lossy ring recovers, dead link
 //! poisons every event without deadlocking the engine).
 
+use std::sync::Arc;
+
 use clmpi::{
-    data_plane_faults, ClMpi, CollAlgo, ObsSummary, ReduceOp, RetryPolicy, SystemConfig,
-    CL_MPI_TRANSFER_ERROR,
+    data_plane_faults, ClMpi, CollAlgo, CollKey, CollTuning, CollectiveSelector, ObsSummary,
+    ReduceOp, RetryPolicy, SystemConfig, CL_MPI_TRANSFER_ERROR,
 };
-use minicl::EXEC_STATUS_ERROR_FOR_EVENTS_IN_WAIT_LIST;
+use minicl::{ClResult, EXEC_STATUS_ERROR_FOR_EVENTS_IN_WAIT_LIST};
 use minimpi::{run_world_faulty, run_world_sized, FaultPlan, Process};
-use simtime::XorShift64;
+use simtime::{SimNs, XorShift64};
 
 fn pattern(len: usize, seed: u64) -> Vec<u8> {
     let mut rng = XorShift64::new(seed);
@@ -131,6 +133,93 @@ fn degenerate_bcast_sizes_complete_on_every_topology() {
         );
         assert!(res.outputs.iter().all(|&ok| ok));
     }
+}
+
+/// One rank of the tuned-broadcast run: `TUNED_RUNS` default-path broadcasts
+/// from root 0 with a [`CollectiveSelector`] attached. Returns, per run,
+/// whether the payload matched the root's bytes and the root tuner's
+/// locked winner after it, plus the root's per-algorithm (count, total
+/// ns) once the three probes are done.
+fn tuned_bcasts(p: &Process) -> ClResult<TunedBcast> {
+    const SIZE: usize = 256 << 10;
+    let rt = ClMpi::new(p, SystemConfig::ricc());
+    let sel = Arc::new(CollectiveSelector::bcast_for_system(rt.config()));
+    rt.set_bcast_adaptive(Some(sel.clone()));
+    let stats = rt.enable_stats();
+    let q = rt.context().create_queue(0, format!("r{}", p.rank()));
+    let buf = rt.context().create_buffer(SIZE);
+    let world = p.comm.size();
+    let mut out = TunedBcast::default();
+    for run in 0..TUNED_RUNS {
+        let want = pattern(SIZE, 500 + run as u64);
+        let init = if p.rank() == 0 {
+            want.clone()
+        } else {
+            vec![0; SIZE]
+        };
+        buf.store(0, &init)?;
+        rt.enqueue_bcast_buffer(&q, &buf, 0, SIZE, 0, run as i32, &[], &p.actor)?
+            .wait_result(&p.actor)?;
+        out.delivered.push(buf.load(0, SIZE)? == want);
+        out.winners.push(sel.winner_for(CollKey(SIZE, world)));
+        if run == ALGOS.len() - 1 {
+            out.probes = ALGOS
+                .iter()
+                .map(|a| stats.get("bcast", a.name()).map(|s| (s.count, s.total_ns)))
+                .collect();
+        }
+    }
+    rt.shutdown(&p.actor);
+    Ok(out)
+}
+
+const TUNED_RUNS: usize = 5;
+
+#[derive(Debug, Default)]
+struct TunedBcast {
+    delivered: Vec<bool>,
+    winners: Vec<Option<CollTuning>>,
+    probes: Vec<Option<(u64, SimNs)>>,
+}
+
+/// The root's online tuner probes Flat, Tree and Ring once each for the
+/// (size class, world) key, then locks the fastest; every probe and every
+/// locked run still delivers the root's bytes to every rank.
+#[test]
+fn bcast_tuner_probes_each_algorithm_once_then_locks_the_fastest() {
+    let res = run_world_sized(SystemConfig::ricc().cluster.clone(), 4, |p: Process| {
+        tuned_bcasts(&p)
+    });
+    for (rank, out) in res.outputs.iter().enumerate() {
+        let out = out.as_ref().map_err(|e| format!("rank {rank}: {e}"));
+        assert_eq!(
+            out.map(|o| o.delivered.clone()),
+            Ok(vec![true; TUNED_RUNS]),
+            "rank {rank} payloads"
+        );
+    }
+    // Every rank reported above, so the root's report is present.
+    let Ok(root) = &res.outputs[0] else { return };
+    // Each algorithm probed exactly once by the end of the third run.
+    let probed: Vec<u64> = root.probes.iter().map(|p| p.map_or(0, |p| p.0)).collect();
+    assert_eq!(
+        probed,
+        vec![1; ALGOS.len()],
+        "probe counts {:?}",
+        root.probes
+    );
+    let fastest = ALGOS
+        .iter()
+        .zip(&root.probes)
+        .min_by_key(|(_, p)| p.map_or(SimNs::MAX, |p| p.1))
+        .map(|(a, _)| *a);
+    let winners: Vec<Option<CollAlgo>> = root.winners.iter().map(|w| w.map(|t| t.algo)).collect();
+    assert_eq!(
+        winners,
+        vec![None, None, fastest, fastest, fastest],
+        "locks the fastest probe {:?}",
+        root.probes
+    );
 }
 
 // ----------------------------------------------------------------------

@@ -3,8 +3,7 @@
 
 use crate::fault::{DropReason, FaultInjector, FaultOutcome, FaultPlan};
 use crate::link::{reserve_pair, Link, LinkSpec, Reservation};
-use simtime::plock::Mutex;
-use simtime::{Arbiter, SimClock, SimNs};
+use simtime::{Arbiter, GrantQueue, SimClock, SimNs};
 use std::sync::Arc;
 
 /// Index of a node within a cluster.
@@ -179,7 +178,7 @@ struct FabricCore {
     /// [`CxlSpec`]): the per-pool contention point for one-sided traffic.
     pools: Vec<Link>,
     /// Deferred-reservation arbiter state (see [`Fabric::reserve_deferred`]).
-    defer: Mutex<DeferQueue>,
+    defer: GrantQueue<(NodeId, NodeId, i32), DeferredSend>,
 }
 
 /// How much link time a deferred reservation claims.
@@ -193,29 +192,14 @@ enum DeferSize {
     RmaBytes(usize),
 }
 
-/// A reservation posted to the arbiter: what to claim, the instant it may
-/// start, and the completion to run once granted.
+/// A reservation posted to the arbiter: what to claim and the
+/// completion to run once granted. Its grant key is `(src, dst, tag)`:
+/// one node's engine and app threads may post same-instant jobs to the
+/// same peer, and their flows (distinct tags) must not be ordered by
+/// which OS thread won.
 struct DeferredSend {
-    src: NodeId,
-    dst: NodeId,
-    /// Flow tag, part of the grant sort key: one node's engine and app
-    /// threads may post same-instant jobs to the same peer, and their
-    /// flows (distinct tags) must not be ordered by which OS thread won.
-    tag: i32,
     size: DeferSize,
-    earliest: SimNs,
-    /// Posting order, the final tie-break. Within one OS thread it is
-    /// program order; across threads it only decides between jobs of the
-    /// same flow at the same instant, where either order yields the same
-    /// timeline.
-    seq: u64,
     complete: Box<dyn FnOnce(Reservation) + Send>,
-}
-
-#[derive(Default)]
-struct DeferQueue {
-    pending: Vec<DeferredSend>,
-    next_seq: u64,
 }
 
 impl Fabric {
@@ -261,7 +245,7 @@ impl Fabric {
                 tx,
                 rx,
                 pools,
-                defer: Mutex::new(DeferQueue::default()),
+                defer: GrantQueue::default(),
             }),
             plan,
             faults,
@@ -491,26 +475,11 @@ impl Fabric {
             src < self.nodes() && dst < self.nodes(),
             "node out of range"
         );
-        // Clamp to the present. A poster is runnable, so the clock cannot
-        // advance during this call — every job later posted carries
-        // `earliest >= now >= any instant already pumped`, which is what
-        // freezes each grant batch before it is sorted.
-        let earliest = earliest.max(self.clock.now_ns());
-        {
-            let mut q = self.core.defer.lock();
-            let seq = q.next_seq;
-            q.next_seq += 1;
-            q.pending.push(DeferredSend {
-                src,
-                dst,
-                tag,
-                size,
-                earliest,
-                seq,
-                complete,
-            });
-        }
-        self.clock.schedule_grant(earliest + 1, self.core.clone());
+        let job = DeferredSend { size, complete };
+        let core = self.core.clone();
+        self.core
+            .defer
+            .post(&self.clock, core, earliest, (src, dst, tag), job);
     }
 
     /// Grant every deferred reservation with `earliest < now`, in
@@ -524,7 +493,7 @@ impl Fabric {
 
     /// Number of posted-but-ungranted deferred reservations (diagnostics).
     pub fn deferred_pending(&self) -> usize {
-        self.core.defer.lock().pending.len()
+        self.core.defer.pending()
     }
 }
 
@@ -613,28 +582,14 @@ impl Arbiter for FabricCore {
     /// fixes receiver-side message sequence numbers — the other place
     /// same-instant order is observable.
     fn grant(&self, now: SimNs) {
-        let mut q = self.defer.lock();
-        if !q.pending.iter().any(|j| j.earliest < now) {
-            return;
-        }
-        let mut due = Vec::new();
-        let mut i = 0;
-        while i < q.pending.len() {
-            if q.pending[i].earliest < now {
-                due.push(q.pending.swap_remove(i));
-            } else {
-                i += 1;
-            }
-        }
-        due.sort_by_key(|j| (j.earliest, j.src, j.dst, j.tag, j.seq));
-        for j in due {
+        self.defer.grant(now, |earliest, (src, dst, _tag), j| {
             let r = match j.size {
-                DeferSize::Bytes(b) => self.reserve(j.src, j.dst, b, j.earliest),
-                DeferSize::Duration(d) => self.reserve_duration(j.src, j.dst, d, j.earliest),
-                DeferSize::RmaBytes(b) => self.reserve_rma(j.src, j.dst, b, j.earliest),
+                DeferSize::Bytes(b) => self.reserve(src, dst, b, earliest),
+                DeferSize::Duration(d) => self.reserve_duration(src, dst, d, earliest),
+                DeferSize::RmaBytes(b) => self.reserve_rma(src, dst, b, earliest),
             };
             (j.complete)(r);
-        }
+        });
     }
 }
 

@@ -31,7 +31,8 @@
 //! alarm for a key it reads ([`SimClock::schedule_alarm_for`], often with
 //! the waiting actor's own [`Actor::key`]) at the instant its answer can
 //! change. Deferred arbiters ([`Arbiter`]) are granted by the clock itself
-//! ([`SimClock::schedule_grant`]).
+//! ([`SimClock::schedule_grant`]); [`GrantQueue`] is the one queue they
+//! keep their pending jobs in.
 //!
 //! The unkeyed [`SimClock::notify`] / [`SimClock::schedule_alarm`] remain
 //! as a fallback that wakes every blocked actor — correct for state
@@ -56,6 +57,7 @@
 //! ```
 
 mod clock;
+mod grant;
 pub mod plock;
 pub mod progress;
 pub mod rng;
@@ -64,6 +66,7 @@ pub mod sync;
 pub mod trace;
 
 pub use clock::{Actor, ActorStatus, Arbiter, SimClock, WaitKey};
+pub use grant::GrantQueue;
 pub use progress::{Completion, CompletionState};
 pub use rng::XorShift64;
 pub use sched::{on_pool_worker, ExecMode, MachineHandle, MachineStep, SimActor};

@@ -2,7 +2,9 @@
 
 use std::sync::Arc;
 
-use clmpi_repro::clmpi::{ClMpi, ObsSummary, PeerSelector, SystemConfig, TransferStrategy};
+use clmpi_repro::clmpi::{
+    ClMpi, ObsSummary, PeerKey, PeerSelector, SystemConfig, TransferStrategy,
+};
 use clmpi_repro::minimpi::{run_world_sized, ANY_SOURCE, ANY_TAG};
 use clmpi_repro::simtime::XorShift64;
 
@@ -208,8 +210,8 @@ fn world_16_mixed_rma_and_two_sided_converges_per_peer() {
             f.wait_result(&p.actor).expect("round fence");
         }
         let verdict = (
-            sel.winner_for(colo, RMA_SIZE),
-            sel.winner_for(remote, RMA_SIZE),
+            sel.winner_for(PeerKey(colo, RMA_SIZE)),
+            sel.winner_for(PeerKey(remote, RMA_SIZE)),
         );
         rt.shutdown(&p.actor);
         verdict
