@@ -49,7 +49,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 use minicl::{Buffer, ClError, ClResult, CommandQueue, Device, Event, UserEvent};
-use minimpi::{Rank, ReduceOp, Tag};
+use minimpi::{Payload, Rank, ReduceOp, Tag};
 use simtime::plock::Mutex;
 use simtime::{Actor, SimNs};
 
@@ -205,6 +205,15 @@ pub(crate) fn seg_bounds(count: usize, n: usize) -> Vec<(usize, usize)> {
         let len = base + usize::from(j < rem);
         out.push((off, len));
         off += len;
+    }
+    out
+}
+
+/// The little-endian wire image of `vals`.
+fn le_bytes(vals: &[f64]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(vals.len() * 8);
+    for v in vals {
+        out.extend_from_slice(&v.to_le_bytes());
     }
     out
 }
@@ -754,10 +763,6 @@ impl EngineOp for BcastRootOp {
                             .iter()
                             .enumerate()
                         {
-                            let payload = self
-                                .buf
-                                .load(self.offset + coff, clen)
-                                .expect("range checked at enqueue");
                             let send_from = if clen == 0 {
                                 now
                             } else {
@@ -776,9 +781,15 @@ impl EngineOp for BcastRootOp {
                                 );
                                 d2h.end
                             };
+                            // The wire chunk is the algorithm header plus
+                            // the staged bytes, read once out of device
+                            // memory and shared by every child's send.
                             let mut msg = Vec::with_capacity(clen + 1);
                             msg.push(self.tuning.algo.id());
-                            msg.extend_from_slice(&payload);
+                            let at = self.offset + coff;
+                            self.buf
+                                .read(|b| msg.extend_from_slice(&b.as_slice()[at..at + clen]));
+                            let msg = Payload::from(msg);
                             for &c in &children {
                                 self.queue.push(
                                     ReliableChunkSend::new(
@@ -1023,8 +1034,9 @@ impl EngineOp for BcastRecvOp {
                         self.last_h2d_end = self.last_h2d_end.max(h2d.end);
                     }
                     // Store-and-forward: re-inject the verbatim wire
-                    // message (header included) to every child now —
-                    // while later chunks are still inbound.
+                    // message (header included, the received allocation
+                    // itself) to every child now — while later chunks
+                    // are still inbound.
                     for i in 0..self.children.len() {
                         let c = self.children[i];
                         self.queue.push(
@@ -1249,17 +1261,14 @@ impl RingReduceOp {
         };
         let (soff_el, slen_el) = segs[send_seg];
         if slen_el > 0 {
-            let sdata: Vec<u8> = self.host[soff_el..soff_el + slen_el]
-                .iter()
-                .flat_map(|v| v.to_le_bytes())
-                .collect();
+            let sdata = Payload::from(le_bytes(&self.host[soff_el..soff_el + slen_el]));
             for (k, &(coff, clen)) in chunk_layout(sdata.len(), self.chunk).iter().enumerate() {
                 self.queue.push(
                     ReliableChunkSend::new(
                         &self.inner,
                         next,
                         self.wire_tag,
-                        sdata[coff..coff + clen].to_vec(),
+                        sdata.slice(coff..coff + clen),
                         start,
                         None,
                     ),
@@ -1386,10 +1395,7 @@ impl RingReduceOp {
                         let own = (me + 1) % n;
                         let (ooff, olen) = segs[own];
                         if olen > 0 {
-                            let bytes: Vec<u8> = self.host[ooff..ooff + olen]
-                                .iter()
-                                .flat_map(|v| v.to_le_bytes())
-                                .collect();
+                            let bytes = Payload::from(le_bytes(&self.host[ooff..ooff + olen]));
                             for (k, &(coff, clen)) in
                                 chunk_layout(bytes.len(), self.chunk).iter().enumerate()
                             {
@@ -1398,7 +1404,7 @@ impl RingReduceOp {
                                         &self.inner,
                                         root,
                                         self.wire_tag,
-                                        bytes[coff..coff + clen].to_vec(),
+                                        bytes.slice(coff..coff + clen),
                                         at,
                                         None,
                                     ),
@@ -1416,7 +1422,7 @@ impl RingReduceOp {
                 self.begin_round(RingPhase::Allgather, idx + 1, at, actor);
             }
             RingPhase::Allgather => {
-                let bytes: Vec<u8> = self.host.iter().flat_map(|v| v.to_le_bytes()).collect();
+                let bytes = le_bytes(&self.host);
                 self.begin_store(bytes, at);
             }
         }
@@ -1432,11 +1438,11 @@ impl RingReduceOp {
         let expect = (self.count - segs[own].1) * 8;
         if expect == 0 {
             // Degenerate split: every foreign segment is empty.
-            let bytes: Vec<u8> = self.host.iter().flat_map(|v| v.to_le_bytes()).collect();
+            let bytes = le_bytes(&self.host);
             self.begin_store(bytes, at);
             return;
         }
-        let image: Vec<u8> = self.host.iter().flat_map(|v| v.to_le_bytes()).collect();
+        let image = le_bytes(&self.host);
         let recv = ReliableChunkRecv::post(&self.inner, actor, None, self.wire_tag, at);
         self.state = RingState::GatherRoot {
             gs: Box::new(GatherState {

@@ -39,6 +39,7 @@
 //! which makes same-instant resource reservations deterministic per rank
 //! (the previous one-thread-per-command design raced them).
 
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use minicl::{
@@ -46,8 +47,8 @@ use minicl::{
     CL_MPI_TRANSFER_ERROR, EXEC_STATUS_ERROR_FOR_EVENTS_IN_WAIT_LIST,
 };
 use minimpi::{
-    CommittedType, Datatype, DropReason, MpiError, Rank, RecvResult, ReduceOp, Request, RmaHandle,
-    RmaPoll, RmaRoute, Tag, Win, RMA_PATIENCE_NS,
+    CommittedType, Datatype, DropReason, MpiError, Payload, Rank, RecvResult, ReduceOp, Request,
+    RmaHandle, RmaPoll, RmaRoute, Tag, Win, RMA_PATIENCE_NS,
 };
 use simtime::plock::Mutex;
 use simtime::{
@@ -522,10 +523,18 @@ pub(crate) fn strategy_failed(outcome: &ClResult<()>) -> bool {
 /// attempt budget. Feeds the degradation latch and the fault counters.
 /// This replaces the old eager retry loop: the backoff is now a real
 /// engine-scheduled timer instead of a pre-dated reservation.
+///
+/// The chunk's [`Payload`] is shared, never copied: every injection —
+/// the first and each retransmit — hands the fabric the same
+/// allocation, and the machine drops its handle once the chunk is
+/// delivered (or has failed), so the receiver ends up holding the only
+/// reference.
 pub(crate) struct ReliableChunkSend {
     dst: Rank,
     wire_tag: Tag,
-    bytes: Vec<u8>,
+    /// Payload length in bytes (the payload itself lives in the state
+    /// until delivery).
+    len: usize,
     duration: Option<SimNs>,
     policy: RetryPolicy,
     attempt: u32,
@@ -536,13 +545,18 @@ pub(crate) struct ReliableChunkSend {
 }
 
 enum ChunkState {
-    /// Ready to inject, no earlier than `earliest`.
-    Ready { earliest: SimNs },
+    /// Ready to inject `bytes`, no earlier than `earliest`.
+    Ready { bytes: Payload, earliest: SimNs },
     /// Posted to the fabric's deferred-send arbiter; polling the request
-    /// until the grant decides the injection's fate.
-    Injecting { req: Request, earliest: SimNs },
-    /// Last injection was dropped; retransmit at `resume_at`.
-    Backoff { resume_at: SimNs },
+    /// until the grant decides the injection's fate. `bytes` is kept for
+    /// a retransmit.
+    Injecting {
+        bytes: Payload,
+        req: Request,
+        earliest: SimNs,
+    },
+    /// Last injection was dropped; retransmit `bytes` at `resume_at`.
+    Backoff { bytes: Payload, resume_at: SimNs },
     /// Injection succeeded; the wire is busy until `done_at`.
     Sent { done_at: SimNs },
     /// Retry budget exhausted; the failure settles at `at` (the end of
@@ -569,25 +583,25 @@ impl ReliableChunkSend {
         inner: &Inner,
         dst: Rank,
         wire_tag: Tag,
-        bytes: Vec<u8>,
+        bytes: Payload,
         earliest: SimNs,
         duration: Option<SimNs>,
     ) -> Self {
         ReliableChunkSend {
             dst,
             wire_tag,
-            bytes,
+            len: bytes.len(),
             duration,
             policy: *inner.retry.lock(),
             attempt: 0,
             peer_dead: false,
-            state: ChunkState::Ready { earliest },
+            state: ChunkState::Ready { bytes, earliest },
         }
     }
 
     /// Payload size of this chunk in bytes.
     pub(crate) fn len(&self) -> usize {
-        self.bytes.len()
+        self.len
     }
 
     /// The error the old path returned on budget exhaustion; a dead-peer
@@ -614,79 +628,89 @@ impl ReliableChunkSend {
         now: SimNs,
         actor: &Actor,
     ) -> ChunkStep {
-        if let ChunkState::Injecting { ref req, earliest } = self.state {
-            // `None` means the clock has not granted the injection yet.
-            // The arbiter clamps a stale `earliest` up to the posting
-            // instant and grants one tick later (its strict
-            // `earliest < now` test), so the park hint is that strictly
-            // future instant; the send's outcome monitor wakes this
-            // machine there too.
-            let Some(done) = req.known_completion() else {
-                return ChunkStep::Park(now.max(earliest) + 1);
-            };
-            let delivered = req.delivered();
-            let reason = req.drop_reason();
-            return self.settle_injection(inner, ids, earliest, done, delivered, reason);
-        }
-        match self.state {
-            ChunkState::Injecting { .. } => unreachable!("handled above"),
-            ChunkState::Ready { earliest } => {
+        let placeholder = ChunkState::Failed { at: 0 };
+        let (state, step) = match std::mem::replace(&mut self.state, placeholder) {
+            ChunkState::Ready { bytes, earliest } => {
                 self.attempt += 1;
                 let req = inner.comm.isend_raw(
                     actor,
                     self.dst,
                     self.wire_tag,
                     Datatype::ClMem,
-                    &self.bytes,
+                    bytes.clone(),
                     earliest,
                     self.duration,
                 );
-                self.state = ChunkState::Injecting { req, earliest };
-                ChunkStep::Progressed
+                let state = ChunkState::Injecting {
+                    bytes,
+                    req,
+                    earliest,
+                };
+                (state, ChunkStep::Progressed)
             }
-            ChunkState::Backoff { resume_at } => {
-                if now >= resume_at {
-                    self.state = ChunkState::Ready {
-                        earliest: resume_at,
+            ChunkState::Injecting {
+                bytes,
+                req,
+                earliest,
+            } => match req.known_completion() {
+                // The clock has not granted the injection yet. The
+                // arbiter clamps a stale `earliest` up to the posting
+                // instant and grants one tick later (its strict
+                // `earliest < now` test), so the park hint is that
+                // strictly future instant; the send's outcome monitor
+                // wakes this machine there too.
+                None => {
+                    let park = ChunkStep::Park(now.max(earliest) + 1);
+                    let state = ChunkState::Injecting {
+                        bytes,
+                        req,
+                        earliest,
                     };
-                    ChunkStep::Progressed
-                } else {
-                    ChunkStep::Park(resume_at)
+                    (state, park)
                 }
-            }
-            ChunkState::Sent { done_at } => ChunkStep::Sent(done_at),
-            ChunkState::Failed { at } => {
-                if now >= at {
-                    ChunkStep::Failed(at)
-                } else {
-                    // Charge the time actually spent trying before the
-                    // failure becomes observable (the old path slept to
-                    // the last injection's end before erroring).
-                    ChunkStep::Park(at)
+                Some(done) => {
+                    let drop = req.drop_reason();
+                    let state = self.settle_injection(inner, ids, bytes, earliest, done, drop);
+                    (state, ChunkStep::Progressed)
                 }
+            },
+            ChunkState::Backoff { bytes, resume_at } if now >= resume_at => {
+                let state = ChunkState::Ready {
+                    bytes,
+                    earliest: resume_at,
+                };
+                (state, ChunkStep::Progressed)
             }
-        }
+            s @ ChunkState::Backoff { resume_at, .. } => (s, ChunkStep::Park(resume_at)),
+            s @ ChunkState::Sent { done_at } => (s, ChunkStep::Sent(done_at)),
+            s @ ChunkState::Failed { at } if now >= at => (s, ChunkStep::Failed(at)),
+            // Charge the time actually spent trying before the failure
+            // becomes observable (the old path slept to the last
+            // injection's end before erroring).
+            s @ ChunkState::Failed { at } => (s, ChunkStep::Park(at)),
+        };
+        self.state = state;
+        step
     }
 
     /// The injection's grant arrived: run the fate logic the eager path
     /// used to run inline — delivery, dead-peer fast-fail, degradation
-    /// latch, retry budget.
+    /// latch, retry budget — and return the next state. `drop` is `None`
+    /// for a delivered injection; `bytes` is kept only for a retransmit.
     fn settle_injection(
         &mut self,
         inner: &Inner,
         ids: &mut ChildIds,
+        bytes: Payload,
         earliest: SimNs,
         done: SimNs,
-        delivered: bool,
-        reason: Option<DropReason>,
-    ) -> ChunkStep {
-        if delivered {
+        drop: Option<DropReason>,
+    ) -> ChunkState {
+        let Some(reason) = drop else {
             inner.fault_state.lock().consecutive_drops = 0;
-            self.state = ChunkState::Sent { done_at: done };
-            return ChunkStep::Progressed;
-        }
+            return ChunkState::Sent { done_at: done };
+        };
         // The chunk burned link time but never reached the peer.
-        let reason = reason.unwrap_or(DropReason::Random);
         if let Some(stats) = inner.stats.lock().as_ref() {
             stats.note_drop(reason);
         }
@@ -698,7 +722,7 @@ impl ReliableChunkSend {
             "drop",
             earliest,
             done,
-            self.bytes.len() as u64,
+            self.len as u64,
             false,
         );
         if reason == DropReason::NodeDown {
@@ -708,8 +732,7 @@ impl ReliableChunkSend {
             // chunk after a rank failure.
             note_abort(inner, ids, Some(self.dst), done);
             self.peer_dead = true;
-            self.state = ChunkState::Failed { at: done };
-            return ChunkStep::Progressed;
+            return ChunkState::Failed { at: done };
         }
         let newly_degraded = {
             let mut fs = inner.fault_state.lock();
@@ -743,8 +766,7 @@ impl ReliableChunkSend {
         }
         if self.attempt == self.policy.max_attempts {
             note_abort(inner, ids, None, done);
-            self.state = ChunkState::Failed { at: done };
-            return ChunkStep::Progressed;
+            return ChunkState::Failed { at: done };
         }
         let backoff = self.policy.backoff_ns(self.attempt);
         inner.trace.record(
@@ -764,13 +786,13 @@ impl ReliableChunkSend {
             "retry",
             done,
             done.saturating_add(backoff),
-            self.bytes.len() as u64,
+            self.len as u64,
             true,
         );
-        self.state = ChunkState::Backoff {
+        ChunkState::Backoff {
+            bytes,
             resume_at: done.saturating_add(backoff),
-        };
-        ChunkStep::Progressed
+        }
     }
 }
 
@@ -1005,17 +1027,17 @@ impl SendOp {
 
     /// Gather the packed range `[lo, hi)` of the lowered type out of the
     /// device buffer (the simulated pack kernel's data movement; timing
-    /// is charged separately on the relevant resource timeline).
+    /// is charged separately on the relevant resource timeline): one
+    /// buffer lock and one allocation per chunk, however many type-map
+    /// segments it spans. The region was range-checked at enqueue.
     fn gather_packed(&self, ty: &CommittedType, lo: usize, hi: usize) -> Vec<u8> {
         let mut out = Vec::with_capacity(hi - lo);
-        for (soff, slen) in ty.segments_for_packed_range(lo, hi) {
-            out.extend_from_slice(
-                &self
-                    .buf
-                    .load(self.offset + soff, slen)
-                    .expect("range checked at enqueue"),
-            );
-        }
+        self.buf.read(|b| {
+            let region = &b.as_slice()[self.offset..];
+            for (soff, slen) in ty.segments_for_packed_range(lo, hi) {
+                out.extend_from_slice(&region[soff..soff + slen]);
+            }
+        });
         out
     }
 
@@ -1046,7 +1068,7 @@ impl SendOp {
                 &self.inner,
                 self.dst,
                 self.wire_tag,
-                bytes,
+                bytes.into(),
                 earliest,
                 Some(fused),
             );
@@ -1101,6 +1123,7 @@ impl SendOp {
             }
         };
         let wire_from = staged.last().map_or(t0, |s| s.2);
+        let bytes = bytes.into();
         let send =
             ReliableChunkSend::new(&self.inner, self.dst, self.wire_tag, bytes, wire_from, None);
         let trace = ChunkTrace {
@@ -1252,7 +1275,7 @@ enum RecvState {
     /// serializes with the app's own kernels).
     Stage {
         stage: Stage,
-        data: Vec<u8>,
+        data: Payload,
         start: SimNs,
         end: SimNs,
     },
@@ -1307,15 +1330,17 @@ impl RecvOp {
     }
 
     /// Scatter an arrived packed chunk (packed offset `lo`) into the
-    /// strided destination region through the type map.
+    /// strided destination region through the type map, under one buffer
+    /// lock. The region was range-checked at enqueue.
     fn scatter_packed(&self, ty: &CommittedType, lo: usize, data: &[u8]) {
-        let mut pos = 0usize;
-        for (soff, slen) in ty.segments_for_packed_range(lo, lo + data.len()) {
-            self.buf
-                .store(self.offset + soff, &data[pos..pos + slen])
-                .expect("range checked at enqueue");
-            pos += slen;
-        }
+        self.buf.write(|b| {
+            let region = &mut b.as_mut_slice()[self.offset..];
+            let mut pos = 0usize;
+            for (soff, slen) in ty.segments_for_packed_range(lo, lo + data.len()) {
+                region[soff..soff + slen].copy_from_slice(&data[pos..pos + slen]);
+                pos += slen;
+            }
+        });
     }
 
     fn settle(&mut self, outcome: ClResult<()>, at: SimNs) -> Step {
@@ -1536,9 +1561,10 @@ pub(crate) struct HostSendOp {
     inner: Arc<Inner>,
     dst: Rank,
     wire_tag: Tag,
-    /// Per-chunk payload and duration override, prepared on the caller.
-    chunks: Vec<(Vec<u8>, Option<SimNs>)>,
-    next_chunk: usize,
+    /// Per-chunk payload and duration override, prepared on the caller;
+    /// each chunk is popped when armed, so a delivered chunk's bytes
+    /// are no longer held here.
+    chunks: VecDeque<(Payload, Option<SimNs>)>,
     current: Option<ReliableChunkSend>,
     done_at: SimNs,
     t0: Option<SimNs>,
@@ -1560,7 +1586,7 @@ impl HostSendOp {
         inner: Arc<Inner>,
         dst: Rank,
         wire_tag: Tag,
-        chunks: Vec<(Vec<u8>, Option<SimNs>)>,
+        chunks: VecDeque<(Payload, Option<SimNs>)>,
         issued: Arc<Monitor<bool>>,
         slot: SendSlot,
         ids: ChildIds,
@@ -1573,7 +1599,6 @@ impl HostSendOp {
             dst,
             wire_tag,
             chunks,
-            next_chunk: 0,
             current: None,
             done_at: 0,
             t0: None,
@@ -1616,18 +1641,9 @@ impl HostSendOp {
     fn drive(&mut self, now: SimNs, actor: &Actor) -> Step {
         let t0 = *self.t0.get_or_insert(now);
         loop {
-            let mut chunk = match self.current.take() {
-                Some(chunk) => chunk,
-                None if self.next_chunk == self.chunks.len() => {
-                    let done_at = self.done_at;
-                    return self.settle(Ok(done_at), done_at.max(self.submit_ns));
-                }
-                None => {
-                    let (bytes, duration) = {
-                        let entry = &mut self.chunks[self.next_chunk];
-                        (std::mem::take(&mut entry.0), entry.1)
-                    };
-                    self.next_chunk += 1;
+            let next = match self.current.take() {
+                Some(chunk) => Some(chunk),
+                None => self.chunks.pop_front().map(|(bytes, duration)| {
                     ReliableChunkSend::new(
                         &self.inner,
                         self.dst,
@@ -1636,7 +1652,11 @@ impl HostSendOp {
                         t0,
                         duration,
                     )
-                }
+                }),
+            };
+            let Some(mut chunk) = next else {
+                let done_at = self.done_at;
+                return self.settle(Ok(done_at), done_at.max(self.submit_ns));
             };
             match chunk.step(&self.inner, &mut self.ids, now, actor) {
                 ChunkStep::Progressed => self.current = Some(chunk),

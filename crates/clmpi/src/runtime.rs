@@ -25,7 +25,7 @@ use std::sync::Arc;
 
 use minicl::{Buffer, ClError, ClResult, CommandQueue, Context, Device, Event, HostBuffer};
 use minimpi::{
-    Comm, CommittedType, MpiError, Process, Rank, RecvResult, ReduceOp, Request, Tag, Win,
+    Comm, CommittedType, MpiError, Payload, Process, Rank, RecvResult, ReduceOp, Request, Tag, Win,
 };
 use simtime::{Actor, Monitor, SimClock, SimNs, Trace};
 
@@ -879,13 +879,23 @@ impl ClMpi {
     /// side can overlap its host→device stage with the network (§V-A's
     /// wrapper functions). The send progresses on the engine; the caller
     /// resumes as soon as the initial injection burst is on the wire.
-    pub fn isend_cl(&self, actor: &Actor, dst: Rank, tag: Tag, data: &[u8]) -> ClSendRequest {
+    /// Every chunk is a slice of one [`Payload`]: a payload passed in is
+    /// shared, never copied (so one payload can be fanned out to many
+    /// ranks); borrowed bytes are copied once, here.
+    pub fn isend_cl(
+        &self,
+        actor: &Actor,
+        dst: Rank,
+        tag: Tag,
+        data: impl Into<Payload>,
+    ) -> ClSendRequest {
+        let data: Payload = data.into();
         let strategy = self.resolve(data.len());
         let plan = ResolvedStrategy::plan(strategy, data.len());
         let net = &self.inner.cfg.cluster.link;
         let pcie = &self.inner.cfg.device.pcie;
         let wire_tag = data_tag(tag);
-        let chunks: Vec<(Vec<u8>, Option<SimNs>)> = plan
+        let chunks = plan
             .chunks
             .iter()
             .map(|&(off, len)| {
@@ -896,7 +906,7 @@ impl ClMpi {
                     }
                     _ => None,
                 };
-                (data[off..off + len].to_vec(), duration)
+                (data.slice(off..off + len), duration)
             })
             .collect();
         let issued = Arc::new(Monitor::new(self.inner.clock.clone(), false));
@@ -922,7 +932,7 @@ impl ClMpi {
     }
 
     /// Blocking [`ClMpi::isend_cl`] (`MPI_Send` with `MPI_CL_MEM`).
-    pub fn send_cl(&self, actor: &Actor, dst: Rank, tag: Tag, data: &[u8]) {
+    pub fn send_cl(&self, actor: &Actor, dst: Rank, tag: Tag, data: impl Into<Payload>) {
         self.isend_cl(actor, dst, tag, data).wait(actor); // blocking-api: MPI_Send semantics
     }
 

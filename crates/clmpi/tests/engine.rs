@@ -187,7 +187,7 @@ fn lossy_runs_are_deterministic_across_reruns() {
                     .unwrap();
                 // A host-side leg races the device-side one on the same
                 // engine.
-                let hreq = rt.isend_cl(&p.actor, 1, 2, &pattern(1 << 12, seed));
+                let hreq = rt.isend_cl(&p.actor, 1, 2, pattern(1 << 12, seed));
                 e.wait(&p.actor);
                 hreq.wait(&p.actor);
                 e.completion_time().unwrap_or(0)

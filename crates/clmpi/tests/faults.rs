@@ -72,7 +72,7 @@ fn repeated_loss_degrades_pipelined_to_pinned() {
         });
         if p.rank() == 0 {
             assert!(!rt.is_degraded());
-            let req = rt.isend_cl(&p.actor, 1, 5, &pattern(1 << 20, 3));
+            let req = rt.isend_cl(&p.actor, 1, 5, pattern(1 << 20, 3));
             let err = req.wait_result(&p.actor);
             assert!(err.is_err(), "total loss must exhaust the retry budget");
             assert!(rt.is_degraded(), "consecutive drops must latch degradation");

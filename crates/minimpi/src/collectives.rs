@@ -10,7 +10,7 @@
 use simtime::Actor;
 
 use crate::world::Comm;
-use crate::{Rank, Tag};
+use crate::{Datatype, Payload, Rank, Tag};
 
 const COLL_BARRIER: Tag = (1 << 20) + 0x100;
 const COLL_BCAST: Tag = (1 << 20) + 0x200;
@@ -82,17 +82,15 @@ impl Comm {
     }
 
     /// Broadcast `data` from `root` to all ranks (binomial tree). Returns
-    /// the payload on every rank (the root gets its own copy back).
+    /// the payload on every rank (the root gets its own copy back). The
+    /// root copies `data` once; every hop forwards that shared payload.
     pub fn bcast(&self, actor: &Actor, root: Rank, data: Option<&[u8]>) -> Vec<u8> {
         assert!(root < self.size(), "bcast root out of range");
         let n = self.size();
         // Rotate so the tree is rooted at 0.
         let vrank = (self.rank() + n - root) % n;
-        let mut payload: Option<Vec<u8>> = if self.rank() == root {
-            Some(
-                data.expect("root must supply the broadcast payload")
-                    .to_vec(),
-            )
+        let mut payload: Option<Payload> = if self.rank() == root {
+            Some(data.expect("root must supply the broadcast payload").into())
         } else {
             None
         };
@@ -120,11 +118,17 @@ impl Comm {
             let vchild = vrank | mask;
             if vchild < n && vchild != vrank {
                 let child = (vchild + root) % n;
-                self.send(actor, child, COLL_BCAST, &payload);
+                self.send_shared(actor, child, COLL_BCAST, payload.clone());
             }
             mask >>= 1;
         }
-        payload
+        payload.into_vec()
+    }
+
+    /// Blocking send of a shared payload (no copy).
+    fn send_shared(&self, actor: &Actor, dst: Rank, tag: Tag, payload: Payload) {
+        self.isend_typed_from(actor, dst, tag, Datatype::Bytes, payload, actor.now_ns())
+            .wait(actor);
     }
 
     /// Reduce `contrib` elementwise to `root` (linear gather at root —
@@ -162,11 +166,11 @@ impl Comm {
     pub fn allreduce(&self, actor: &Actor, op: ReduceOp, contrib: &[f64]) -> Vec<f64> {
         match self.reduce(actor, 0, op, contrib) {
             Some(acc) => {
-                let bytes = crate::datatype::f64_as_bytes(&acc).to_vec();
+                let bytes = crate::datatype::f64_as_bytes(&acc).into();
                 // Reuse bcast's tree but on the ALLREDUCE tag via payload
                 // broadcast (distinct tag avoids interleaving with user
                 // bcasts of the same iteration).
-                self.bcast_tagged(actor, 0, Some(&bytes), COLL_ALLREDUCE)
+                self.bcast_tagged(actor, 0, Some(bytes), COLL_ALLREDUCE)
                     .chunks_exact(8)
                     .map(|c| f64::from_ne_bytes(c.try_into().expect("8-byte chunk")))
                     .collect()
@@ -187,7 +191,7 @@ impl Comm {
             out[root] = Some(contrib.to_vec());
             for _ in 0..self.size() - 1 {
                 let res = self.recv(actor, None, Some(COLL_GATHER));
-                out[res.status.source] = Some(res.data);
+                out[res.status.source] = Some(res.data.into_vec());
             }
             Some(
                 out.into_iter()
@@ -214,7 +218,9 @@ impl Comm {
             }
             chunks[root].clone()
         } else {
-            self.recv(actor, Some(root), Some(COLL_SCATTER)).data
+            self.recv(actor, Some(root), Some(COLL_SCATTER))
+                .data
+                .into_vec()
         }
     }
 
@@ -231,7 +237,7 @@ impl Comm {
                 for v in &all {
                     flat.extend_from_slice(v);
                 }
-                self.bcast_tagged(actor, 0, Some(&flat), COLL_ALLGATHER);
+                self.bcast_tagged(actor, 0, Some(flat.into()), COLL_ALLGATHER);
                 all
             }
             None => {
@@ -255,14 +261,14 @@ impl Comm {
         }
     }
 
-    fn bcast_tagged(&self, actor: &Actor, root: Rank, data: Option<&[u8]>, tag: Tag) -> Vec<u8> {
-        // Linear broadcast on a private tag; used by allreduce only, where
-        // payloads are small.
+    fn bcast_tagged(&self, actor: &Actor, root: Rank, data: Option<Payload>, tag: Tag) -> Payload {
+        // Linear broadcast on a private tag (allreduce and allgather, where
+        // payloads are small): every rank receives the root's one payload.
         if self.rank() == root {
-            let payload = data.expect("root supplies payload").to_vec();
+            let payload = data.expect("root supplies payload");
             for r in 0..self.size() {
                 if r != root {
-                    self.send(actor, r, tag, &payload);
+                    self.send_shared(actor, r, tag, payload.clone());
                 }
             }
             payload

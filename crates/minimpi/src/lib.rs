@@ -29,13 +29,14 @@
 //! * Buffers are byte slices; typed helpers live in [`datatype`]. A
 //!   [`Datatype`] tag travels with each message so the clMPI runtime can
 //!   implement the paper's `MPI_CL_MEM` protocol.
-//! * Sends are *buffered* (eager): `isend` snapshots the payload and
-//!   reserves fabric capacity immediately; the request completes at
-//!   injection end. This matches DMA-capable NICs and is what lets
+//! * Sends are *buffered* (eager): `isend` snapshots the payload into a
+//!   shared [`Payload`] and reserves fabric capacity immediately; the
+//!   request completes at injection end. This matches DMA-capable NICs and is what lets
 //!   communication progress with no host thread involvement — the property
 //!   clMPI builds on.
 //! * `irecv` returns the payload from `wait` instead of writing through a
-//!   held `&mut` borrow (Rust aliasing); `recv`/`recv_into` copy into a
+//!   held `&mut` borrow (Rust aliasing): the received [`Payload`] is the
+//!   sender's allocation, shared, not a copy. `recv_into` copies into a
 //!   caller buffer.
 
 pub mod collectives;
@@ -43,6 +44,7 @@ pub mod datatype;
 mod ft;
 mod launch;
 mod p2p;
+mod payload;
 pub mod rma;
 mod world;
 
@@ -52,6 +54,7 @@ pub use launch::{
     run_world, run_world_faulty, run_world_faulty_mode, run_world_sized, WorldResult,
 };
 pub use p2p::{wait_all, wait_any, MpiError, RecvResult, Request, Status};
+pub use payload::Payload;
 pub use rma::{RmaHandle, RmaPoll, RmaRoute, Win, RMA_PATIENCE_NS, RMA_TAG_BASE};
 pub use world::{Comm, Process, World, ANY_SOURCE, ANY_TAG, MAX_USER_TAG};
 

@@ -19,7 +19,7 @@ use simnet::{DropReason, FaultOutcome};
 use simtime::{Actor, Monitor, SimNs};
 
 use crate::world::Comm;
-use crate::{Datatype, Rank, Tag};
+use crate::{Datatype, Payload, Rank, Tag};
 
 /// Errors surfaced through the `Result`-returning request/receive APIs
 /// (the panicking wrappers remain for code that treats these as bugs).
@@ -149,8 +149,8 @@ pub struct Status {
 /// Payload + status from a completed receive.
 #[derive(Debug, Clone)]
 pub struct RecvResult {
-    /// The received bytes.
-    pub data: Vec<u8>,
+    /// The received bytes: the sender's allocation, shared.
+    pub data: Payload,
     /// Delivery information.
     pub status: Status,
 }
@@ -163,7 +163,7 @@ pub(crate) struct InMsg {
     context: u64,
     tag: Tag,
     datatype: Datatype,
-    payload: Vec<u8>,
+    payload: Payload,
     visible_at: SimNs,
     seq: u64,
 }
@@ -228,7 +228,7 @@ impl RankState {
         context: u64,
         tag: Tag,
         datatype: Datatype,
-        payload: Vec<u8>,
+        payload: Payload,
         visible_at: SimNs,
     ) {
         let seq = self.next_seq;
@@ -636,14 +636,15 @@ impl Comm {
     /// [`Comm::isend`] with an explicit datatype tag and an earliest
     /// injection instant (used by the clMPI runtime to launch a network
     /// stage when a device→host stage will finish, without any thread
-    /// having to wait for it).
+    /// having to wait for it). A [`Payload`] is sent without copying; a
+    /// borrowed slice is copied once here.
     pub fn isend_typed_from(
         &self,
         actor: &Actor,
         dst: Rank,
         tag: Tag,
         datatype: Datatype,
-        data: &[u8],
+        data: impl Into<Payload>,
         earliest: SimNs,
     ) -> Request {
         self.isend_raw(actor, dst, tag, datatype, data, earliest, None)
@@ -652,7 +653,10 @@ impl Comm {
     /// Lowest-level send: optionally overrides the injection duration
     /// (`duration_override`), for transfers whose effective rate is not
     /// the raw link rate — e.g. the clMPI *mapped* strategy, where the NIC
-    /// streams through PCIe at the device's zero-copy rate.
+    /// streams through PCIe at the device's zero-copy rate. The payload
+    /// is shared, never copied: the receiver's inbox holds the same
+    /// allocation, so a caller that keeps a handle for retransmission
+    /// re-injects it for free.
     #[allow(clippy::too_many_arguments)]
     pub fn isend_raw(
         &self,
@@ -660,12 +664,14 @@ impl Comm {
         dst: Rank,
         tag: Tag,
         datatype: Datatype,
-        data: &[u8],
+        data: impl Into<Payload>,
         earliest: SimNs,
         duration_override: Option<SimNs>,
     ) -> Request {
         assert!(dst < self.size(), "destination rank {dst} out of range");
         let gdst = self.global_rank(dst);
+        let payload: Payload = data.into();
+        let len = payload.len();
         let inner = &self.world.inner;
         let outcome = Arc::new(Monitor::new(inner.clock.clone(), None));
         // The reservation goes through the fabric's arbiter: claiming
@@ -678,7 +684,6 @@ impl Comm {
             let outcome = outcome.clone();
             let src = self.rank;
             let context = self.context;
-            let payload = data.to_vec();
             Box::new(move |res| {
                 let inner = &world.inner;
                 // The fate of the message is decided at injection time: a
@@ -717,11 +722,9 @@ impl Comm {
             })
         };
         match duration_override {
-            None => {
-                inner
-                    .fabric
-                    .reserve_deferred(self.rank, gdst, tag, data.len(), earliest, complete)
-            }
+            None => inner
+                .fabric
+                .reserve_deferred(self.rank, gdst, tag, len, earliest, complete),
             Some(d) => inner
                 .fabric
                 .reserve_duration_deferred(self.rank, gdst, tag, d, earliest, complete),

@@ -47,11 +47,21 @@ impl NanoModel {
 
     /// The scaled coefficient rows `[r0, r1)` for `step`, row-major.
     pub fn scaled_rows(&self, step: usize, r0: usize, r1: usize) -> Vec<f32> {
+        let mut out = vec![0.0f32; (r1 - r0) * self.sections];
+        self.scale_rows_into(step, r0, r1, &mut out);
+        out
+    }
+
+    /// [`NanoModel::scaled_rows`] written into `out`, which must hold
+    /// exactly `(r1 - r0) · sections` values — lets a caller scale
+    /// straight into its staging buffer.
+    pub fn scale_rows_into(&self, step: usize, r0: usize, r1: usize, out: &mut [f32]) {
         let th = Self::theta(step);
-        self.coeff_base[r0 * self.sections..r1 * self.sections]
-            .iter()
-            .map(|&c| c * th)
-            .collect()
+        let rows = &self.coeff_base[r0 * self.sections..r1 * self.sections];
+        assert_eq!(out.len(), rows.len(), "output must hold the scaled rows");
+        for (o, &c) in out.iter_mut().zip(rows) {
+            *o = c * th;
+        }
     }
 
     /// Host-side nucleation/condensation: a cheap serial update of the

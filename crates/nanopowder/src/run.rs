@@ -5,7 +5,7 @@ use std::sync::Arc;
 use clmpi::{ClMpi, SystemConfig};
 use minicl::HostBuffer;
 use minimpi::datatype::{bytes_to_f32, f32_as_bytes};
-use minimpi::{run_world_faulty_mode, FaultPlan, Process, Tag};
+use minimpi::{run_world_faulty_mode, FaultPlan, Payload, Process, Tag};
 use simtime::plock::Mutex;
 use simtime::ExecMode;
 use simtime::SimNs;
@@ -191,23 +191,25 @@ fn rank_main(variant: NanoVariant, cfg: &NanoConfig, p: Process) -> RankOut {
             for r in 1..nodes {
                 let _ = p.comm.isend(&p.actor, r, TAG_N, &n_bytes);
             }
-            let full = m.scaled_rows(step, 0, k);
-            let bytes = f32_as_bytes(&full);
             match variant {
                 NanoVariant::Baseline => {
+                    let full = m.scaled_rows(step, 0, k);
                     for r in 0..nodes {
-                        let _ = p.comm.isend(&p.actor, r, TAG_C, bytes);
+                        let _ = p.comm.isend(&p.actor, r, TAG_C, f32_as_bytes(&full));
                     }
                 }
                 NanoVariant::ClMpiFanout => {
+                    // One host payload, shared by every rank's send.
+                    let full = Payload::from(f32_as_bytes(&m.scaled_rows(step, 0, k)));
                     for r in 0..nodes {
-                        let _ = rt.isend_cl(&p.actor, r, TAG_C, bytes);
+                        let _ = rt.isend_cl(&p.actor, r, TAG_C, full.clone());
                     }
                 }
                 NanoVariant::ClMpi => {
-                    // Stage into the root's own device buffer once; the
+                    // Scale straight into the pinned staging buffer, then
+                    // stage it into the root's own device buffer once; the
                     // broadcast below fans it out chunk-pipelined.
-                    c_stage.fill_from(bytes);
+                    c_stage.write(|h| m.scale_rows_into(step, 0, k, h.as_f32_mut()));
                     c_write = Some(
                         q.enqueue_write_buffer(
                             &p.actor,
